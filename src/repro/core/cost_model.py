@@ -40,34 +40,43 @@ def cost_matrix(
     """Build ``C_i`` for every partition: shape (L, N, N), row = sender.
 
     ``bandwidth`` is the planner's *estimated* B matrix (N, N) in MB/s;
-    ``dest`` maps each partition to its final destination fragment
-    (``M`` of Section 2.2); ``w`` is the tuple width in bytes.
+    every off-diagonal entry must be finite and positive (the diagonal
+    is never used). ``dest`` maps each partition to its final
+    destination fragment (``M`` of Section 2.2); ``w`` is the tuple
+    width in bytes.
+
+    All L partitions are priced in one broadcast. The union estimates
+    come from the state's cached slot-agreement counts
+    (:func:`repro.minhash.estimate.all_pairs_union_card`), so building
+    ``C_i`` compares no signatures.
     """
     n, m = state.n_frags, state.n_parts
     if bandwidth.shape != (n, n):
         raise ValueError(f"bandwidth shape {bandwidth.shape} != ({n}, {n})")
     if dest.shape != (m,):
         raise ValueError(f"dest shape {dest.shape} != ({m},)")
-
-    c = np.empty((m, n, n), dtype=np.float64)
     eye = np.eye(n, dtype=bool)
-    inv_bw = np.where(np.isfinite(bandwidth) & (bandwidth > 0), 1.0 / (bandwidth * MB), 0.0)
-    for l in range(m):
-        card_l = state.card[:, l]  # (N,)
-        cost = card_l[:, None] * w * inv_bw  # COST(s->t), Eq. 5
-        union = all_pairs_union_card(state, l)
-        e = union * w * inv_bw
-        cl = cost + e
-        # t == M(l): pay only the transfer, never re-shipped.
-        cl[:, dest[l]] = cost[:, dest[l]]
-        # Empty receivers are useless targets — except the destination.
-        empty = card_l <= 0
-        recv_block = empty.copy()
-        recv_block[dest[l]] = False
-        cl[:, recv_block] = np.inf
-        # Empty or destination senders never send; no self transfers.
-        cl[empty, :] = np.inf
-        cl[dest[l], :] = np.inf
-        cl[eye] = np.inf
-        c[l] = cl
+    off_diag = bandwidth[~eye]
+    if not np.all(np.isfinite(off_diag) & (off_diag > 0)):
+        raise ValueError("off-diagonal bandwidth entries must be finite and positive")
+
+    inv_bw = 1.0 / (np.where(eye, np.inf, bandwidth) * MB)  # 0 on the diagonal
+    card = np.ascontiguousarray(state.card.T)  # (L, N)
+    cost = card[:, :, None] * w * inv_bw  # COST(s->t), Eq. 5
+    c = all_pairs_union_card(state)
+    c *= w
+    c *= inv_bw  # E_i(s, t, l)
+    c += cost
+    parts = np.arange(m)
+    # t == M(l): pay only the transfer, never re-shipped.
+    c[parts, :, dest] = cost[parts, :, dest]
+    # Empty receivers are useless targets — except the destination.
+    empty = card <= 0
+    recv_block = empty.copy()
+    recv_block[parts, dest] = False
+    c.transpose(0, 2, 1)[recv_block] = np.inf
+    # Empty or destination senders never send; no self transfers.
+    empty[parts, dest] = True
+    c[empty] = np.inf
+    c[:, eye] = np.inf
     return c

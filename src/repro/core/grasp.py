@@ -17,6 +17,9 @@ from repro.core.cost_model import cost_matrix
 from repro.core.plan import Phase, Plan, Transfer
 from repro.minhash.estimate import CoordinatorState, update
 
+#: Sorted candidates checked per validity test in :func:`select_phase`.
+_WINDOW = 64
+
 
 def select_phase(
     c: np.ndarray, state: CoordinatorState, dest: np.ndarray
@@ -24,39 +27,63 @@ def select_phase(
     """Algorithm 2: greedily pick transfers for one phase.
 
     Repeatedly takes the globally cheapest viable ``(s -> t, l)`` entry
-    of ``C_i``, then removes ``s`` from the sender candidates, ``t`` from
-    the receiver candidates, and both from partition ``l``'s candidates —
-    enforcing one send and one receive per node per phase, and no
-    same-partition send+receive. Each pick immediately applies
-    ``UPDATE(s, t, l)`` to the coordinator ``state`` (the estimated
-    post-transfer sizes feed the next phase's ``C``). Entries already
-    picked this phase are never re-examined because their nodes leave
-    the candidate sets.
+    of ``C_i`` (ties: first in C order of ``(l, s, t)``), then removes
+    ``s`` from the sender candidates, ``t`` from the receiver candidates,
+    and both from partition ``l``'s candidates — enforcing one send and
+    one receive per node per phase, and no same-partition send+receive.
+    Each pick immediately applies ``UPDATE(s, t, l)`` to the coordinator
+    ``state`` (the estimated post-transfer sizes feed the next phase's
+    ``C``).
+
+    ``C_i`` does not change within a phase and candidates only ever
+    leave the candidate sets, so the greedy sequence is a forward scan
+    of ``C_i``'s finite entries sorted by (cost, flat index) that skips
+    entries whose sender, receiver or (l, node) is already used. The
+    sort is done in bands of the cheapest remaining entries
+    (``np.partition`` for the band's top value, then every entry up to
+    and including it, so ties stay in one band); a band is checked for
+    validity a window at a time, and entries that are already invalid
+    are dropped before the next, wider band is cut.
     """
     m, n, _ = c.shape
     send_ok = np.ones(n, dtype=bool)
     recv_ok = np.ones(n, dtype=bool)
     part_ok = np.ones((m, n), dtype=bool)
     phase = Phase()
-    masked = c.copy()
-    while send_ok.any() and recv_ok.any():
-        mask = (
-            part_ok[:, :, None]
-            & part_ok[:, None, :]
-            & send_ok[None, :, None]
-            & recv_ok[None, None, :]
-        )
-        view = np.where(mask, masked, np.inf)
-        flat = np.argmin(view)
-        l, s, t = np.unravel_index(flat, view.shape)
-        if not np.isfinite(view[l, s, t]):
-            break
-        phase.transfers.append(Transfer(int(s), int(t), int(l)))
-        send_ok[s] = False
-        recv_ok[t] = False
-        part_ok[l, s] = False
-        part_ok[l, t] = False
-        update(state, int(s), int(t), int(l))
+    flat = np.flatnonzero(np.isfinite(c))  # ascending, i.e. C order
+    cost = c.ravel()[flat]
+    band = 4 * n
+    while flat.size:
+        k = min(band, flat.size) - 1
+        top = np.partition(cost, k)[k]
+        cut = cost <= top
+        idx = flat[cut][np.argsort(cost[cut], kind="stable")]
+        flat, cost = flat[~cut], cost[~cut]
+        band *= 4
+        bl, rest = np.divmod(idx, n * n)
+        bs, bt = np.divmod(rest, n)
+        pos = 0
+        while pos < idx.size:
+            win = slice(pos, pos + _WINDOW)
+            wl, ws, wt = bl[win], bs[win], bt[win]
+            hit = send_ok[ws] & recv_ok[wt] & part_ok[wl, ws] & part_ok[wl, wt]
+            i = int(np.argmax(hit))
+            if not hit[i]:
+                pos += _WINDOW
+                continue
+            l, s, t = int(wl[i]), int(ws[i]), int(wt[i])
+            phase.transfers.append(Transfer(s, t, l))
+            send_ok[s] = False
+            recv_ok[t] = False
+            part_ok[l, s] = False
+            part_ok[l, t] = False
+            update(state, s, t, l)
+            pos += i + 1
+        # Entries that are invalid now stay invalid: drop them before
+        # cutting the next band.
+        ok = part_ok[:, :, None] & part_ok[:, None, :] & send_ok[:, None] & recv_ok
+        keep = ok.ravel()[flat]
+        flat, cost = flat[keep], cost[keep]
     phase.validate()
     return phase
 

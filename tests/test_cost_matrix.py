@@ -140,3 +140,22 @@ class TestRules:
             cost_matrix(state, np.ones((3, 3)), np.array([0]), w=W)
         with pytest.raises(ValueError):
             cost_matrix(state, np.ones((4, 4)), np.array([0, 1]), w=W)
+
+
+class TestBandwidthValidation:
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_bad_off_diagonal_entry_rejected(self, bad):
+        # Eq. 5 would price such a link at 0 s, so Algorithm 2 would
+        # pick it first.
+        b = np.ones((4, 4))
+        b[2, 3] = bad
+        with pytest.raises(ValueError, match="bandwidth"):
+            cost_matrix(fig1_state(), b, np.array([0]), w=W)
+
+    @pytest.mark.parametrize("diag", [np.inf, 0.0, np.nan])
+    def test_diagonal_is_free(self, diag):
+        b = np.ones((4, 4))
+        np.fill_diagonal(b, diag)
+        c = cost_matrix(fig1_state(), b, np.array([0]), w=W)[0]
+        assert np.all(np.isinf(np.diag(c)))
+        assert c[1, 0] == pytest.approx(3.0)

@@ -12,6 +12,7 @@ from repro.minhash.estimate import (
     update,
 )
 from repro.minhash.hashing import EMPTY_SLOT, HashFamily
+from tests import reference_planner as ref
 
 FAM = HashFamily(n=100, seed=9)
 
@@ -138,7 +139,7 @@ class TestAllPairs:
         st_ = make_state(
             [list(range(0, 30))], [list(range(10, 50))], [list(range(100, 130))]
         )
-        u = all_pairs_union_card(st_, 0)
+        u = all_pairs_union_card(st_)[0]
         for s in range(3):
             for t in range(3):
                 if s != t:
@@ -146,7 +147,7 @@ class TestAllPairs:
 
     def test_diagonal_is_self_union(self):
         st_ = make_state([[1, 2, 3]], [[4, 5]])
-        u = all_pairs_union_card(st_, 0)
+        u = all_pairs_union_card(st_)[0]
         assert u[0, 0] == pytest.approx(3.0)
         assert u[1, 1] == pytest.approx(2.0)
 
@@ -162,3 +163,55 @@ class TestAllPairs:
         )
         e = est_card(st_, 0, 1, 0)
         assert max(len(s), len(t)) - 1e-9 <= e <= len(s) + len(t) + 1e-9
+
+
+@st.composite
+def state_and_updates(draw):
+    """A small state with many equal and empty signatures, plus two random
+    sequences of UPDATE(s, t, l) calls on it."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=3))
+    keys = st.lists(st.integers(min_value=0, max_value=6), max_size=5)
+    sets = [[np.array(draw(keys), dtype=np.int64) for _ in range(m)] for _ in range(n)]
+    fam = HashFamily(n=draw(st.integers(min_value=1, max_value=12)), seed=4)
+    pair = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, m - 1)
+    ).filter(lambda p: p[0] != p[1])
+    updates = st.lists(pair, max_size=12)
+    return CoordinatorState.from_key_sets(sets, fam), draw(updates), draw(updates)
+
+
+def assert_cache_exact(state):
+    """The agreement cache equals a full recount, and every estimate read
+    from it equals the ``np.mean`` formula bit for bit."""
+    np.testing.assert_array_equal(state.agree, CoordinatorState(state.card, state.minh).agree)
+    union = all_pairs_union_card(state)
+    for l in range(state.n_parts):
+        assert np.array_equal(union[l], ref.all_pairs_union_card(state.card, state.minh, l))
+        for s in range(state.n_frags):
+            for t in range(state.n_frags):
+                assert est_card(state, s, t, l) == ref.est_card(state.card, state.minh, s, t, l)
+
+
+class TestAgreementCache:
+    @given(case=state_and_updates())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_recount_after_updates(self, case):
+        state, updates, _ = case
+        assert_cache_exact(state)
+        for s, t, l in updates:
+            update(state, s, t, l)
+            assert_cache_exact(state)
+
+    @given(case=state_and_updates())
+    @settings(max_examples=40, deadline=None)
+    def test_copy_diverges_independently(self, case):
+        state, ours, theirs = case
+        clone = state.copy()
+        for s, t, l in theirs:
+            update(clone, s, t, l)
+        for s, t, l in ours:
+            update(state, s, t, l)
+        # Shared arrays or a shared cache would leave one of them stale.
+        assert_cache_exact(state)
+        assert_cache_exact(clone)
