@@ -1,24 +1,25 @@
-"""Phase-by-phase plan execution in Spark (Step 9 of Figure 5).
+"""Plan execution in Spark (Step 9 of Figure 5) as one count job.
 
-Each phase applies its transfers as one Catalyst transformation: the
-state DataFrame is left-joined against a small transfers table
-(``src``, ``part`` → ``dst``), rows of a transferring (fragment,
-partition) are re-assigned to the receiving fragment, and partial
-aggregates are merged with a ``groupBy``. The per-transfer tuple counts
-— measured with one aggregation job per phase on the cached state —
-feed the ground-truth network cost model (``repro.netsim.truecost``),
-so the simulated seconds reflect exactly what Spark actually moved.
+A transfer always moves a sender's whole (fragment, partition), so the
+plan alone fixes which input fragments' rows each transfer carries. The
+driver walks the plan over a ``holder[origin fragment, partition]``
+table and labels every origin with each (phase, sender) that ships it,
+plus a final label naming where it ends up. One Spark job joins the
+state to that label table and counts, per (phase, sender, partition),
+the tuples the transfer ships. Those counts feed the ground-truth
+network cost model (``repro.netsim.truecost``), so the simulated seconds
+reflect exactly what a phase-by-phase run would move.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
+import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.plan import Phase, Plan, Transfer
-from repro.engine.state import DistState, finalize, merge_partials
+from repro.core.plan import Plan, Transfer
+from repro.engine.state import DistState, finalize
 from repro.netsim.topology import Topology
 from repro.netsim.truecost import ComputeModel, phase_cost
 
@@ -31,8 +32,6 @@ class ExecutionResult:
     of phase costs, including receiver compute when a
     :class:`ComputeModel` is given). ``dest_tuples`` counts tuples
     received by final-destination fragments across all phases (Table 2).
-    ``execution_wall_seconds`` is the real Spark wall time, reported for
-    transparency but not part of the simulated metric.
     """
 
     final_df: DataFrame
@@ -41,8 +40,6 @@ class ExecutionResult:
     phase_seconds: list[float] = field(default_factory=list)
     dest_tuples: int = 0
     total_tuples_sent: int = 0
-    execution_wall_seconds: float = 0.0
-    cached_df: DataFrame | None = None
 
     @property
     def response_seconds(self) -> float:
@@ -50,41 +47,55 @@ class ExecutionResult:
         return self.network_seconds + self.plan.planning_seconds
 
     def unpersist(self) -> None:
-        """Release the cached final state (call once done with final_df)."""
-        if self.cached_df is not None:
-            self.cached_df.unpersist()
+        """Release ``final_df`` if a caller cached it."""
+        self.final_df.unpersist()
 
 
-def _collect_sizes(df: DataFrame) -> dict[tuple[int, int], int]:
-    rows = df.groupBy("frag", "part").count().collect()
-    return {(int(r["frag"]), int(r["part"])): int(r["count"]) for r in rows}
+def _count_shipped(state: DistState, plan: Plan) -> dict[tuple[int, int, int], int]:
+    """Tuples held by each (phase, holder, part), from one Spark job.
 
-
-def _apply_phase(state: DistState, phase: Phase) -> DataFrame:
-    """One phase as a join + merge transformation.
-
-    The transfer table is control-plane metadata (a few dozen rows), so
-    it carries an explicit broadcast hint; the data-path merge below it
-    is still a full shuffle aggregation (the session keeps automatic
-    broadcast joins disabled).
+    The driver walks ``holder[origin frag, part]`` through the plan: phase
+    ``i`` labels each origin that its pre-phase holder sends with ``(i,
+    sender)``, and phase ``len(plan)`` labels every origin with its final
+    holder. Phase 0 ships the state's rows as they are (raw rows for a raw
+    state); later phases ship merged partials, one per key. Keys are
+    counted by a second ``groupBy``, not ``countDistinct``, so that a null
+    key counts as one tuple, as the merge ``groupBy`` keeps it.
     """
-    spark = state.df.sparkSession
-    tdf = F.broadcast(
-        spark.createDataFrame(
-            [(t.src, t.part, t.dst) for t in phase],
-            schema="t_src int, t_part int, t_dst int",
+    n, n_parts = state.n_frags, state.n_parts
+    holder = np.tile(np.arange(n)[:, None], (1, n_parts))
+    labels: list[tuple[int, int, int, int]] = []
+    for i, phase in enumerate(plan):
+        moves = [(np.flatnonzero(holder[:, t.part] == t.src), t) for t in phase]
+        for origins, t in moves:
+            labels += [(int(v), t.part, i, t.src) for v in origins]
+            holder[origins, t.part] = t.dst
+    labels += [(v, l, len(plan), int(h)) for (v, l), h in np.ndenumerate(holder)]
+    df = state.df
+    lab = F.broadcast(
+        df.sparkSession.createDataFrame(
+            labels, schema="l_frag int, l_part int, phase int, holder int"
         )
     )
-    df = state.df
-    joined = df.join(
-        tdf, (df["frag"] == tdf["t_src"]) & (df["part"] == tdf["t_part"]), "left"
-    ).select(
-        F.coalesce(tdf["t_dst"], df["frag"]).alias("frag"),
-        df["part"],
-        df["key"],
-        *[df[p.name] for p in state.spec.partials],
+    on = (df["frag"] == lab["l_frag"]) & (df["part"] == lab["l_part"])
+    rows = (
+        df.join(lab, on, "left")
+        .groupBy("phase", "holder", "part", "key")
+        .count()
+        .groupBy("phase", "holder", "part")
+        .agg(F.sum("count").alias("rows"), F.count("*").alias("keys"))
+        .collect()
     )
-    return merge_partials(joined, state.spec)
+    counts: dict[tuple[int, int, int], int] = {}
+    for r in rows:
+        if r["phase"] is None:
+            raise ValueError(
+                f"{r['rows']} rows of partition {r['part']} have frag outside "
+                f"[0, {n}) or part outside [0, {n_parts})"
+            )
+        shipped = r["rows"] if r["phase"] == 0 else r["keys"]
+        counts[(r["phase"], r["holder"], r["part"])] = shipped
+    return counts
 
 
 def execute_plan(
@@ -97,28 +108,25 @@ def execute_plan(
     """Run ``plan`` over ``state``; return the finalized result and the
     simulated cost accounting.
 
-    Raises if, after the last phase, any tuple sits away from its
-    partition's destination — an incomplete plan is a bug, not a number.
+    Raises ``ValueError`` for a row outside the state's fragments or
+    partitions, and ``RuntimeError`` if, after the last phase, any tuple
+    sits away from its partition's destination — an incomplete plan is a
+    bug, not a number.
     """
     if topo.n_frags != state.n_frags:
         raise ValueError(
             f"topology has {topo.n_frags} fragments, state has {state.n_frags}"
         )
-    t0 = time.perf_counter()
-    # localCheckpoint truncates lineage: without it, each phase's logical
-    # plan nests the previous one and Catalyst analysis time grows
-    # quadratically over a multi-phase plan.
-    cur = state.df.localCheckpoint(eager=True)
-    sizes = _collect_sizes(cur)
+    counts = _count_shipped(state, plan)
     w = state.tuple_bytes
 
     phase_secs: list[float] = []
     dest_tuples = 0
     total_sent = 0
-    for phase in plan:
+    for i, phase in enumerate(plan):
         bytes_sent: dict[Transfer, float] = {}
         for t in phase:
-            n = sizes.get((t.src, t.part), 0)
+            n = counts.get((i, t.src, t.part), 0)
             bytes_sent[t] = n * w
             total_sent += n
             if t.dst == state.dest[t.part]:
@@ -132,27 +140,22 @@ def execute_plan(
                 preaggregated=state.preaggregated,
             )
         )
-        nxt = _apply_phase(state.with_df(cur), phase).localCheckpoint(eager=True)
-        sizes = _collect_sizes(nxt)
-        cur = nxt  # previous checkpoint blocks are reclaimed by the
-        # context cleaner once unreferenced
 
     leftovers = sum(
-        n for (frag, part), n in sizes.items() if frag != state.dest[part]
+        n
+        for (i, frag, part), n in counts.items()
+        if i == len(plan) and frag != state.dest[part]
     )
     if leftovers:
         raise RuntimeError(
             f"plan {plan.algorithm!r} incomplete: {leftovers} tuples not at "
             "their destination after the last phase"
         )
-    final_df = finalize(state.with_df(cur))
     return ExecutionResult(
-        final_df=final_df,
+        final_df=finalize(state),
         plan=plan,
         network_seconds=float(sum(phase_secs)),
         phase_seconds=phase_secs,
         dest_tuples=dest_tuples,
         total_tuples_sent=total_sent,
-        execution_wall_seconds=time.perf_counter() - t0,
-        cached_df=cur,
     )

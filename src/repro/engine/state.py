@@ -118,11 +118,13 @@ def preaggregate(state: DistState) -> DistState:
 
 
 def finalize(state: DistState) -> DataFrame:
-    """Project the completed aggregation to its output columns.
+    """Merge every partial of a (partition, key) and project the
+    aggregation to its output columns.
 
-    Only valid once every row sits on its partition's destination
-    fragment (the executor asserts this); rows are merged a final time
-    defensively before applying the final expressions.
+    This is the result a complete plan leaves on each partition's
+    destination fragment; the executor checks that the plan is complete.
     """
-    merged = merge_partials(state.df, state.spec)
+    merged = state.df.groupBy("part", "key").agg(
+        *[p.merge_col() for p in state.spec.partials]
+    )
     return merged.select(*state.spec.final_cols())

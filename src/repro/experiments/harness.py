@@ -142,10 +142,7 @@ def run_algorithm(
         schedule_seconds=schedule_seconds,
     )
     st.df.unpersist()
-    if keep_result:
-        return row, result
-    result.unpersist()
-    return row, None
+    return row, result if keep_result else None
 
 
 def add_speedups(rows: list[dict], *, baseline_seconds: float) -> list[dict]:

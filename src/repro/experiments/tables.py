@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.experiments.harness import ResultRow, run_algorithm
+from repro.experiments.harness import ResultRow, add_speedups, run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.bandwidth import (
     benchmark_matrix,
@@ -69,9 +69,7 @@ def t1_similarity(
             rows.append(_row(r, jaccard=j))
             if algo == "preagg_repart" and baseline is None:
                 baseline = r.network_seconds  # Preagg+Repart at J=0
-    for r in rows:
-        r["speedup"] = baseline / r["network_seconds"]
-    return rows
+    return add_speedups(rows, baseline_seconds=baseline)
 
 
 def t2_dup_keys(
@@ -95,9 +93,7 @@ def t2_dup_keys(
             group.append(_row(r, dups=d))
             if algo == "preagg_repart":
                 base = r.network_seconds  # per-level baseline (Figure 11 axis)
-        for g in group:
-            g["speedup"] = base / g["network_seconds"]
-        rows += group
+        rows += add_speedups(group, baseline_seconds=base)
     return rows
 
 
@@ -123,9 +119,7 @@ def t3_imbalance(
             rows.append(_row(r, imbalance_level=lvl))
             if algo == "preagg_repart" and baseline is None:
                 baseline = r.network_seconds  # Preagg+Repart at l = 1
-    for r in rows:
-        r["speedup"] = baseline / r["network_seconds"]
-    return rows
+    return add_speedups(rows, baseline_seconds=baseline)
 
 
 def t4_bandwidth_estimation(
@@ -225,9 +219,7 @@ def t6_nonuniform(
             group.append(_row(r))
             if algo == "preagg_repart":
                 base = r.network_seconds
-        for g in group:
-            g["speedup"] = base / g["network_seconds"]
-        rows += group
+        rows += add_speedups(group, baseline_seconds=base)
     return rows
 
 
@@ -264,9 +256,7 @@ def t7_scaleout(
                 group.append(_row(r, n_frags=topo.n_frags))
                 if algo == "preagg_repart":
                     base = r.network_seconds
-            for g in group:
-                g["speedup"] = base / g["network_seconds"]
-            rows += group
+            rows += add_speedups(group, baseline_seconds=base)
     return rows
 
 
@@ -303,9 +293,7 @@ def t8_real_datasets(
             group.append(_row(r))
             if algo == "preagg_repart":
                 base = r.network_seconds
-        for g in group:
-            g["speedup"] = base / g["network_seconds"]
-        rows += group
+        rows += add_speedups(group, baseline_seconds=base)
     return rows
 
 
@@ -343,6 +331,4 @@ def t9_ec2(
         rows.append(_row(r))
         if algo == "preagg_repart":
             base = r.network_seconds
-    for r in rows:
-        r["speedup"] = base / r["network_seconds"]
-    return rows
+    return add_speedups(rows, baseline_seconds=base)

@@ -7,7 +7,9 @@ from pyspark.sql import functions as F
 
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
+from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
+from repro.engine.aggspec import sum_spec
 from repro.engine.executor import execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
@@ -83,71 +85,92 @@ class TestAllToAllCorrectness:
         assert_equivalent(res.final_df, wl.sql, r=wl.df)
         res.unpersist()
 
-    def test_result_lands_on_mapped_fragments(self, spark, sim_wl):
-        st = preaggregate(
-            make_state(
-                sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_all"
-            )
-        )
-        plan = repartition_plan(N, st.dest)
-        res = execute_plan(st, plan, TOPO)
-        rows = res.cached_df.groupBy("frag", "part").count().collect()
-        for r in rows:
-            assert st.dest[r["part"]] == r["frag"]
-        res.unpersist()
-
 
 class TestCostAccounting:
-    def _exact_sets(self, wl, n_parts=1):
-        pdf = wl.df.toPandas()
-        sets = [[set() for _ in range(n_parts)] for _ in range(N)]
-        for frag, a in zip(pdf["frag"], pdf["a"]):
-            part = 0 if n_parts == 1 else None
-            sets[int(frag)][part].add(int(a))
+    @staticmethod
+    def _exact_sets(st):
+        sets = [[set() for _ in range(st.n_parts)] for _ in range(st.n_frags)]
+        for r in st.df.select("frag", "part", "key").collect():
+            sets[r["frag"]][r["part"]].add(r["key"])
         return sets
 
-    def test_executor_matches_exact_simulator(self, spark, sim_wl):
-        """Spark-measured transfer sizes == exact set semantics."""
-        st = preaggregate(
-            make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_one")
-        )
+    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
+    def test_executor_matches_exact_simulator(self, spark, sim_wl, mode):
+        """Spark-measured transfer sizes == exact set semantics, phase by
+        phase; all-to-all walks holders of every partition at once."""
+        st = preaggregate(make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode=mode))
         st.df.persist()
-        coord = compute_signatures(st.df, FAM, n_frags=N, n_parts=1)
+        coord = compute_signatures(st.df, FAM, n_frags=N, n_parts=st.n_parts)
         plan = plan_aggregation(
             coord, np.full((N, N), 118.0), st.dest, w=st.tuple_bytes
         )
+        assert len(plan) > 1
         res = execute_plan(st, plan, TOPO)
         sim = simulate_plan(
-            self._exact_sets(sim_wl), plan, st.dest, TOPO, w=st.tuple_bytes
+            self._exact_sets(st), plan, st.dest, TOPO, w=st.tuple_bytes
         )
+        assert sim.completed(st.dest)
         assert res.total_tuples_sent == sim.total_tuples_sent
         assert res.dest_tuples == sim.dest_tuples
-        assert res.network_seconds == pytest.approx(sim.network_seconds)
-        assert res.phase_seconds == pytest.approx(sim.phase_seconds)
-        res.unpersist()
+        assert res.phase_seconds == sim.phase_seconds
+        assert res.network_seconds == sim.network_seconds
         st.df.unpersist()
 
-    def test_repart_dest_tuples_equals_remote_rows(self, spark, sim_wl):
-        st = preaggregate(
-            make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_one")
-        )
-        remote = st.df.filter(F.col("frag") != 0).count()
+    @pytest.mark.parametrize("raw", [False, True], ids=["preaggregated", "raw_dup_keys"])
+    def test_repart_dest_tuples_equals_remote_rows(self, spark, sim_wl, raw):
+        """A raw state ships its raw rows in its first phase, duplicate
+        keys included; a pre-aggregated one ships one row per key."""
+        if raw:
+            wl = dup_keys_workload(spark, n_frags=N, tuples_per_frag=600, dups=4)
+            st = make_state(wl.df, wl.spec, n_frags=N, mode="all_to_one")
+        else:
+            st = preaggregate(
+                make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_one")
+            )
+        remote_df = st.df.filter(F.col("frag") != 0)
+        remote = remote_df.count()
+        assert (remote > remote_df.select("frag", "key").distinct().count()) == raw
         plan = repartition_plan(N, st.dest)
         res = execute_plan(st, plan, TOPO)
         assert res.dest_tuples == remote
         assert res.total_tuples_sent == remote
-        res.unpersist()
 
-    def test_incomplete_plan_raises(self, spark, sim_wl):
-        st = preaggregate(
-            make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_one")
-        )
-        # Only fragment 1 ships its data: 2 and 3 never do.
-        from repro.core.plan import Phase, Plan, Transfer
-
-        bad = Plan(phases=[Phase([Transfer(1, 0, 0)])])
+    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
+    def test_incomplete_plan_raises(self, spark, sim_wl, mode):
+        st = preaggregate(make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode=mode))
+        if mode == "all_to_one":
+            # Only fragment 1 ships its data: 2 and 3 never do.
+            bad = Plan(phases=[Phase([Transfer(1, 0, 0)])])
+        else:
+            # Partition 1 is delivered to fragment 2 instead of M(1) = 1.
+            wrong = st.dest.copy()
+            wrong[1] = 2
+            bad = repartition_plan(N, wrong)
         with pytest.raises(RuntimeError, match="incomplete"):
             execute_plan(st, bad, TOPO)
+
+    @pytest.mark.parametrize("bad", ["frag", "part"])
+    def test_out_of_range_rows_rejected(self, spark, bad):
+        frags = [0, 1, N if bad == "frag" else 2]
+        df = spark.createDataFrame(
+            pd.DataFrame({"frag": frags, "a": [1, 2, 3], "b": [4, 5, 6]})
+        )
+        spec = sum_spec("a", "b")
+        if bad == "frag":
+            st = make_state(df, spec, n_frags=N, mode="all_to_one")
+        else:
+            part = F.when(F.col("a") == 3, N).otherwise(0)
+            st = make_state(df, spec, n_frags=N, mode="all_to_all", partitioner=part)
+        with pytest.raises(ValueError, match="outside"):
+            execute_plan(st, repartition_plan(N, st.dest), TOPO)
+
+    def test_single_fragment_zero_phase_plan(self, spark):
+        wl = dup_keys_workload(spark, n_frags=1, tuples_per_frag=300, dups=3)
+        st = make_state(wl.df, wl.spec, n_frags=1, mode="all_to_one")
+        res = execute_plan(st, Plan(), Topology(n_machines=1))
+        assert res.network_seconds == 0
+        assert res.phase_seconds == []
+        assert_equivalent(res.final_df, wl.sql, r=wl.df)
 
     def test_topology_mismatch_rejected(self, spark, sim_wl):
         st = make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode="all_to_one")
