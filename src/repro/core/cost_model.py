@@ -1,4 +1,4 @@
-"""Eq. 5 transfer cost and the Eq. 8 one-phase-lookahead cost matrix.
+"""The Eq. 8 one-phase-lookahead cost matrix.
 
 The coordinator builds, at the start of every phase ``P_i``, a matrix
 ``C_i[l, s, t]`` — the heuristic cost of node ``s`` sending its share of
@@ -21,14 +21,6 @@ import numpy as np
 from repro.minhash.estimate import CoordinatorState, all_pairs_union_card
 
 MB = 1e6
-
-
-def transfer_seconds(n_tuples: float, w: float, bw_mbps: float) -> float:
-    """Eq. 5: seconds to ship ``n_tuples`` tuples of ``w`` bytes at
-    ``bw_mbps`` MB/s."""
-    if bw_mbps <= 0:
-        raise ValueError("bandwidth must be positive")
-    return n_tuples * w / (bw_mbps * MB)
 
 
 def cost_matrix(

@@ -101,16 +101,17 @@ def plan_aggregation(
     dest: np.ndarray,
     *,
     w: float,
-    max_phases: int | None = None,
 ) -> Plan:
     """Produce the complete GRASP aggregation plan.
 
     ``state`` is consumed (mutated through the planner's UPDATE calls) —
     pass ``state.copy()`` to keep the original. All-to-one aggregation is
-    the single-partition case ``dest = [v*]``.
+    the single-partition case ``dest = [v*]``. Every phase empties at
+    least one (fragment, partition), so more than N·L + 1 phases means
+    the planner is making no progress and raises ``RuntimeError``.
     """
     dest = np.asarray(dest, dtype=np.int64)
-    limit = max_phases if max_phases is not None else state.n_frags * state.n_parts + 1
+    limit = state.n_frags * state.n_parts + 1
     t0 = time.perf_counter()
     plan = Plan(algorithm="grasp")
     while not aggregation_done(state, dest):

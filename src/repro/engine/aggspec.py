@@ -46,9 +46,10 @@ class PartialAgg:
 class AggSpec:
     """A complete algebraic GROUP BY: key column, partials, final exprs.
 
-    ``key`` names the (single, integral) grouping column in the input;
-    ``key_out`` is its name in the final result; ``finals`` maps output
-    column names to SQL expressions over the partial columns.
+    ``key`` names the single grouping column in the input, of any type
+    Spark can group and hash; ``key_out`` is its name in the final
+    result; ``finals`` maps output column names to SQL expressions over
+    the partial columns.
     """
 
     key: str
@@ -81,14 +82,16 @@ def sum_spec(key: str, value: str, *, key_out: str = "key", out: str = "sum_v") 
 
 def avg_spec(key: str, value: str, *, key_out: str = "key", out: str = "avg_v") -> AggSpec:
     """``SELECT key, AVG(value) FROM r GROUP BY key`` — decomposed into
-    sum and count partials."""
+    sum and count partials. Only non-null values count, and a key whose
+    values are all NULL averages to NULL (``try_divide`` by a zero count
+    is NULL, not an error, under ANSI mode)."""
     return AggSpec(
         key=key,
         partials=(
             PartialAgg("p_sum", value, "sum"),
-            PartialAgg("p_cnt", "CAST(1 AS BIGINT)", "sum"),
+            PartialAgg("p_cnt", f"CAST({value} IS NOT NULL AS BIGINT)", "sum"),
         ),
-        finals=((out, "p_sum / p_cnt"),),
+        finals=((out, "try_divide(p_sum, p_cnt)"),),
         key_out=key_out,
     )
 

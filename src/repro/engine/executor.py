@@ -41,11 +41,6 @@ class ExecutionResult:
     dest_tuples: int = 0
     total_tuples_sent: int = 0
 
-    @property
-    def response_seconds(self) -> float:
-        """Simulated response time including coordinator planning time."""
-        return self.network_seconds + self.plan.planning_seconds
-
     def unpersist(self) -> None:
         """Release ``final_df`` if a caller cached it."""
         self.final_df.unpersist()

@@ -22,10 +22,10 @@ from repro.engine.aggspec import AggSpec
 class DistState:
     """Distributed aggregation state.
 
-    ``df`` columns: ``frag`` (int), ``part`` (int), ``key`` (long), plus
-    one column per partial aggregate of ``spec``. ``dest`` is the
-    partition-to-destination mapping ``M``; ``tuple_bytes`` is the wire
-    width ``w`` of one tuple.
+    ``df`` columns: ``frag`` (int), ``part`` (int), ``key`` (the input's
+    grouping column, any hashable type), plus one column per partial
+    aggregate of ``spec``. ``dest`` is the partition-to-destination
+    mapping ``M``; ``tuple_bytes`` is the wire width ``w`` of one tuple.
     """
 
     df: DataFrame
@@ -55,7 +55,6 @@ def make_state(
     mode: str,
     dest_frag: int = 0,
     n_parts: int | None = None,
-    frag_col: str = "frag",
     tuple_bytes: float = 16.0,
     partitioner: Column | None = None,
 ) -> DistState:
@@ -69,7 +68,7 @@ def make_state(
     ``partitioner`` column models skewed repartition functions
     (Section 5.2.3).
     """
-    key = F.col(spec.key).cast("long").alias("key")
+    key = F.col(spec.key).alias("key")
     if mode == "all_to_one":
         if not 0 <= dest_frag < n_frags:
             raise ValueError(f"dest_frag {dest_frag} out of range")
@@ -80,14 +79,14 @@ def make_state(
         part_expr = (
             partitioner
             if partitioner is not None
-            else F.pmod(F.xxhash64(F.col(spec.key).cast("long")), F.lit(m))
+            else F.pmod(F.xxhash64(F.col(spec.key)), F.lit(m))
         )
         part = part_expr.cast("int").alias("part")
         dest = np.arange(m, dtype=np.int64) % n_frags
     else:
         raise ValueError(f"unknown mode {mode!r}")
     out = df.select(
-        F.col(frag_col).cast("int").alias("frag"),
+        F.col("frag").cast("int").alias("frag"),
         part,
         key,
         *[p.init_col() for p in spec.partials],

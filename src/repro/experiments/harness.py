@@ -157,8 +157,8 @@ def add_speedups(rows: list[dict], *, baseline_seconds: float) -> list[dict]:
 
 
 def format_rows(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Render result rows as an aligned text table (jobs and benches
-    print these; EXPERIMENTS.md records them)."""
+    """Render result rows as an aligned text table (``benchmarks/`` prints
+    these; EXPERIMENTS.md records them)."""
     if not rows:
         return "(no rows)"
     cols = columns or list(rows[0].keys())

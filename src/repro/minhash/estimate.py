@@ -97,13 +97,6 @@ class CoordinatorState:
         return cls(card, minh)
 
 
-def est_jaccard(sig_s: np.ndarray, sig_t: np.ndarray) -> float:
-    """Estimated Jaccard similarity: fraction of agreeing signature slots."""
-    if sig_s.shape != sig_t.shape:
-        raise ValueError("signature length mismatch")
-    return float(np.mean(sig_s == sig_t))
-
-
 def _union_card(cs, ct, agree, n: int):
     """``(|S| + |T|) / (1 + J)`` clamped to ``[max(|S|,|T|), |S|+|T|]``,
     elementwise, with ``J = agree / n``. ``agree / n`` equals

@@ -23,28 +23,26 @@ def compute_signatures(
     *,
     n_frags: int,
     n_parts: int,
-    key_col: str = "key",
-    frag_col: str = "frag",
-    part_col: str = "part",
     spread: bool = True,
 ) -> CoordinatorState:
     """Collect ``Card`` and ``MinH`` for every (fragment, partition).
 
     ``df`` must hold one row per distinct key per (frag, part) — i.e. the
-    locally pre-aggregated state (``Card`` is a plain ``count``). Keys of
-    any integral type are spread with ``xxhash64`` and reduced mod
-    ``p = 2^31 - 1`` so the ``a*x + b`` hash expression stays exact in
-    64-bit arithmetic. ``spread=False`` skips xxhash64 (used only by the
-    numpy-equivalence tests).
+    locally pre-aggregated state (``Card`` is a plain ``count``), with
+    columns ``frag``, ``part`` and ``key``. Keys of any type ``xxhash64``
+    accepts are spread with it and reduced mod ``p = 2^31 - 1`` so the
+    ``a*x + b`` hash expression stays exact in 64-bit arithmetic.
+    ``spread=False`` skips xxhash64 and needs integral keys (used only by
+    the numpy-equivalence tests).
 
     Missing (frag, part) combinations yield Card 0 and the empty-set
     signature.
     """
     a, b = family.params
     x = (
-        F.pmod(F.xxhash64(F.col(key_col)), F.lit(MERSENNE_P))
+        F.pmod(F.xxhash64(F.col("key")), F.lit(MERSENNE_P))
         if spread
-        else F.pmod(F.col(key_col).cast("long"), F.lit(MERSENNE_P))
+        else F.pmod(F.col("key").cast("long"), F.lit(MERSENNE_P))
     )
     aggs = [F.count(F.lit(1)).alias("card")] + [
         F.min((x * F.lit(int(a[j])) + F.lit(int(b[j]))) % F.lit(MERSENNE_P)).alias(
@@ -52,12 +50,12 @@ def compute_signatures(
         )
         for j in range(family.n)
     ]
-    rows = df.groupBy(frag_col, part_col).agg(*aggs).collect()
+    rows = df.groupBy("frag", "part").agg(*aggs).collect()
 
     card = np.zeros((n_frags, n_parts), dtype=np.float64)
     minh = np.full((n_frags, n_parts, family.n), EMPTY_SLOT, dtype=np.int64)
     for r in rows:
-        v, l = int(r[frag_col]), int(r[part_col])
+        v, l = int(r["frag"]), int(r["part"])
         if not (0 <= v < n_frags and 0 <= l < n_parts):
             raise ValueError(f"fragment/partition ({v}, {l}) out of declared range")
         card[v, l] = float(r["card"])

@@ -61,20 +61,18 @@ def underestimate(
     topo: Topology,
     *,
     level: float,
-    scope: str = "all",
-    machine: int = 0,
+    scope: str,
 ) -> np.ndarray:
     """Return a copy of ``b`` with some entries scaled down by ``level``.
 
     ``scope`` selects which links are underestimated, mirroring the
     scenarios of Figure 14:
 
-    - ``"colocation"``: intra-machine links of ``machine`` (local
+    - ``"colocation"``: intra-machine links of machine 0 (local
       fragments contend for memory bandwidth);
-    - ``"nic"``: all cross-machine links touching ``machine`` (its NIC is
+    - ``"nic"``: all cross-machine links touching machine 0 (its NIC is
       busy);
-    - ``"switch"`` / ``"all"``: every cross-machine link (core switch
-      contention) / every link.
+    - ``"switch"``: every cross-machine link (core switch contention).
     """
     if not 0 <= level < 1:
         raise ValueError("level must be in [0, 1)")
@@ -87,15 +85,13 @@ def underestimate(
     cross = np.array(
         [[s != t and not topo.same_machine(s, t) for t in range(n)] for s in range(n)]
     )
-    on_mach = np.array([topo.machine_of(f) == machine for f in range(n)])
+    on_mach = np.array([topo.machine_of(f) == 0 for f in range(n)])
     if scope == "colocation":
         mask = same & on_mach[:, None] & on_mach[None, :]
     elif scope == "nic":
         mask = cross & (on_mach[:, None] | on_mach[None, :])
     elif scope == "switch":
         mask = cross
-    elif scope == "all":
-        mask = same | cross
     else:
         raise ValueError(f"unknown scope {scope!r}")
     out = b.copy()
@@ -103,15 +99,16 @@ def underestimate(
     return out
 
 
-def estimation_report(topo: Topology, *, seed: int = 0, max_error: float = 0.2):
-    """Rows comparing theoretical vs simulated-benchmark bandwidth, split
-    into within-machine and across-machine links (Figure 13 / T4).
+def estimation_report(topo: Topology, *, seed: int = 0):
+    """Rows comparing theoretical vs simulated-benchmark bandwidth (the
+    default 20% error band), split into within-machine and across-machine
+    links (Figure 13 / T4).
 
     Returns a list of dicts with keys ``link_type``, ``theoretical_mbps``,
     ``estimated_mbps`` (mean over links of that type), ``error_pct``.
     """
     theo = theoretical_matrix(topo)
-    est = benchmark_matrix(topo, seed=seed, max_error=max_error)
+    est = benchmark_matrix(topo, seed=seed)
     n = topo.n_frags
     rows = []
     for link_type in ("within_machine", "across_machines"):

@@ -62,7 +62,3 @@ class Topology:
         if self.same_machine(s, t):
             return self.intra_bw
         return self.nic_bw
-
-    def is_uniform(self) -> bool:
-        """True when every fragment pair has the same point-to-point bandwidth."""
-        return self.frags_per_machine == 1 or self.intra_bw == self.nic_bw

@@ -11,7 +11,8 @@ available bandwidth of a cross-machine transfer is
 where ``d_o`` / ``d_i`` count concurrent cross-machine transfers in this
 phase using that NIC. Intra-machine transfers share the machine's
 intra-machine bandwidth the same way. The phase cost is the max over
-its transfers (Eq. 4); the plan cost is the sum over phases (Eq. 3).
+its transfers (Eq. 4); the executor sums the phase costs into the plan
+cost (Eq. 3).
 
 The optional :class:`ComputeModel` adds per-receiver aggregation time
 (Section 5.3.5: EC2's 10 Gbps network makes the query compute-bound;
@@ -91,20 +92,3 @@ def phase_cost(
     thr = compute.throughput(preaggregated) * mb
     per_node = [recv_net[v] + recv_bytes[v] / thr for v in recv_net]
     return max(per_node, default=0.0)
-
-
-def plan_cost(
-    phases: list[Phase],
-    bytes_per_phase: list[dict[Transfer, float]],
-    topo: Topology,
-    *,
-    compute: ComputeModel | None = None,
-    preaggregated: bool = True,
-) -> float:
-    """Total simulated seconds of a plan: the serial sum of phase costs."""
-    if len(phases) != len(bytes_per_phase):
-        raise ValueError("phases and byte maps must align")
-    return sum(
-        phase_cost(p, b, topo, compute=compute, preaggregated=preaggregated)
-        for p, b in zip(phases, bytes_per_phase)
-    )

@@ -14,8 +14,8 @@ file placement gives fragments heavily-overlapping cell sets.
 
 The composite GROUP BY key is encoded as a single int64
 ``cell = lat_cents * 360_000 + lon_cents`` at generation time (the
-engine groups on one integral column; the encoding is bijective so the
-aggregate is identical).
+engine groups on one column; the encoding is bijective so the aggregate
+is identical).
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ def modis_workload(
     n_files: int = 120,
     tuples_per_file: int = 4_000,
     n_tiles: int = 12,
-    cells_per_tile: int | None = None,
     seed: int = 0,
 ) -> Workload:
     """Generate the synthetic MOD09-like relation.
@@ -43,18 +42,17 @@ def modis_workload(
     samples ``tuples_per_file`` of its cells with replacement (revisited
     cells → both local duplicates and cross-file overlap). Files are
     assigned to fragments round-robin, exactly as the paper assigns
-    downloads. ``cells_per_tile`` defaults to the size that reproduces
-    the paper's ~4.6 tuples-per-cell reduction (3 B tuples / 648 M cells)
-    at any scale: with ``x = draws_per_tile / cells_per_tile`` the
-    expected duplication is ``x / (1 - e^-x)``, and x ≈ 4.55 gives 4.6.
+    downloads. Each tile has the number of cells that reproduces the
+    paper's ~4.6 tuples-per-cell reduction (3 B tuples / 648 M cells) at
+    any scale: with ``x = draws_per_tile / tile_cells`` the expected
+    duplication is ``x / (1 - e^-x)``, and x ≈ 4.55 gives 4.6.
     """
     g = np.random.default_rng(seed)
-    if cells_per_tile is None:
-        draws_per_tile = n_files * tuples_per_file / n_tiles
-        cells_per_tile = max(16, int(draws_per_tile / 4.55))
+    draws_per_tile = n_files * tuples_per_file / n_tiles
+    tile_cells = max(16, int(draws_per_tile / 4.55))
     # Tile origins on the 0.01-degree grid: tile t covers a square of
-    # cells_per_tile cells starting at a distinct lat/lon corner.
-    side = int(np.ceil(np.sqrt(cells_per_tile)))
+    # tile_cells cells starting at a distinct lat/lon corner.
+    side = int(np.ceil(np.sqrt(tile_cells)))
     tile_lat0 = g.integers(0, 17000, n_tiles)  # lat cents in [-85, 85] shifted
     tile_lon0 = g.integers(0, 35000, n_tiles)
     tile_of_file = g.integers(0, n_tiles, n_files)

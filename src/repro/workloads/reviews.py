@@ -21,6 +21,9 @@ from pyspark.sql import SparkSession
 from repro.engine.aggspec import avg_spec
 from repro.workloads.base import Workload
 
+#: Skew of the reviews-per-user distribution.
+_ZIPF_ALPHA = 1.2
+
 
 def reviews_workload(
     spark: SparkSession,
@@ -29,7 +32,6 @@ def reviews_workload(
     n_frags: int,
     n_reviews: int,
     n_users: int,
-    zipf_alpha: float = 1.2,
     activity_window: float = 0.15,
     seed: int = 0,
 ) -> Workload:
@@ -42,7 +44,7 @@ def reviews_workload(
     """
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n_users + 1)
-    weights = 1.0 / ranks**zipf_alpha
+    weights = 1.0 / ranks**_ZIPF_ALPHA
     weights /= weights.sum()
     user = g.choice(ranks, size=n_reviews, p=weights)
     centre = g.random(n_users)

@@ -20,16 +20,10 @@ def _spec():
     return sum_spec("a", "b", key_out="a", out="sum_b")
 
 
-def adjacent_jaccard(overlap: float) -> float:
-    """Jaccard similarity of adjacent fragments for a given range-overlap
-    fraction (Figure 9): ``J = o / (2 - o)`` for unit-width ranges."""
-    if not 0 <= overlap <= 1:
-        raise ValueError("overlap fraction must be in [0, 1]")
-    return overlap / (2.0 - overlap)
-
-
 def overlap_for_jaccard(j: float) -> float:
-    """Inverse of :func:`adjacent_jaccard`: ``o = 2J / (1 + J)``."""
+    """Range-overlap fraction of adjacent fragments with Jaccard ``J``
+    (Figure 9): ``o = 2J / (1 + J)``, the inverse of ``J = o / (2 - o)``
+    for unit-width ranges."""
     if not 0 <= j <= 1:
         raise ValueError("Jaccard must be in [0, 1]")
     return 2.0 * j / (1.0 + j)

@@ -59,20 +59,14 @@ class TestUnderestimate:
     def setup_method(self):
         self.b = theoretical_matrix(TOPO)
 
-    def test_all_scope(self):
-        out = underestimate(self.b, TOPO, level=0.5, scope="all")
-        assert out[0, 1] == 1000.0
-        assert out[0, 2] == 59.0
-        assert np.isinf(out[0, 0])
-
     def test_colocation_scope(self):
-        out = underestimate(self.b, TOPO, level=0.2, scope="colocation", machine=0)
+        out = underestimate(self.b, TOPO, level=0.2, scope="colocation")
         assert out[0, 1] == pytest.approx(1600.0)  # intra links of machine 0
         assert out[2, 3] == 2000.0  # machine 1 untouched
         assert out[0, 2] == 118.0  # cross links untouched
 
     def test_nic_scope(self):
-        out = underestimate(self.b, TOPO, level=0.5, scope="nic", machine=0)
+        out = underestimate(self.b, TOPO, level=0.5, scope="nic")
         assert out[0, 2] == 59.0  # cross link from machine 0
         assert out[2, 0] == 59.0  # cross link into machine 0
         assert out[2, 3] == 2000.0  # intra untouched
@@ -81,24 +75,27 @@ class TestUnderestimate:
         out = underestimate(self.b, TOPO, level=0.5, scope="switch")
         assert out[0, 2] == 59.0 and out[3, 1] == 59.0
         assert out[0, 1] == 2000.0
+        assert np.isinf(out[0, 0])
 
     def test_original_untouched(self):
         before = self.b.copy()
-        underestimate(self.b, TOPO, level=0.5, scope="all")
+        underestimate(self.b, TOPO, level=0.5, scope="switch")
         np.testing.assert_array_equal(self.b, before)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            underestimate(self.b, TOPO, level=1.0, scope="all")
+            underestimate(self.b, TOPO, level=1.0, scope="switch")
         with pytest.raises(ValueError):
             underestimate(self.b, TOPO, level=0.5, scope="bogus")
         with pytest.raises(ValueError):
-            underestimate(self.b[:3, :3], TOPO, level=0.5, scope="all")
+            underestimate(self.b, TOPO, level=0.5, scope="all")
+        with pytest.raises(ValueError):
+            underestimate(self.b[:3, :3], TOPO, level=0.5, scope="switch")
 
 
 class TestEstimationReport:
     def test_report_rows(self):
-        rows = estimation_report(TOPO, seed=0, max_error=0.2)
+        rows = estimation_report(TOPO, seed=0)
         types = {r["link_type"] for r in rows}
         assert types == {"within_machine", "across_machines"}
         for r in rows:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cost_model import cost_matrix, transfer_seconds
+from repro.core.cost_model import cost_matrix
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import HashFamily
 
@@ -22,20 +22,6 @@ def fig1_state():
         ],
         FAM,
     )
-
-
-class TestTransferSeconds:
-    def test_basic(self):
-        assert transfer_seconds(3, W, 1.0) == 3.0
-
-    def test_scales_with_bandwidth(self):
-        assert transfer_seconds(10, 16, 118.0) == pytest.approx(
-            10 * 16 / 118e6
-        )
-
-    def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_seconds(1, 16, 0.0)
 
 
 class TestFigure7:

@@ -1,4 +1,4 @@
-"""Tests for the TPC-H-lite generators (provided + extended)."""
+"""Tests for the TPC-H LINEITEM generator (provided + extended)."""
 import pytest
 
 from repro import synth_data
@@ -31,29 +31,3 @@ class TestLineitem:
         b = synth_data.lineitem(spark, sf=0.0005, seed=4).toPandas()
         assert not a.equals(b)
 
-
-class TestOtherTables:
-    def test_orders_keys_sequential(self, spark):
-        o = synth_data.orders(spark, sf=0.001)
-        pdf = o.toPandas()
-        assert sorted(pdf["o_orderkey"]) == list(range(1, 1501))
-
-    def test_customer_count(self, spark):
-        assert synth_data.customer(spark, sf=0.01).count() == 1500
-
-    def test_part_count(self, spark):
-        assert synth_data.part(spark, sf=0.01).count() == 2000
-
-
-class TestKeyGenerators:
-    def test_zipf_skew(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5, seed=1)
-        top = (
-            df.groupBy("k").count().orderBy("count", ascending=False).limit(1)
-        ).collect()[0]["count"]
-        assert top > 5000 / 100 * 3  # heavy head
-
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=50)
-        mn, mx = df.agg({"k": "min"}).collect()[0][0], df.agg({"k": "max"}).collect()[0][0]
-        assert 1 <= mn and mx <= 50

@@ -8,7 +8,7 @@ class TestConstruction:
     def test_defaults(self):
         t = Topology(n_machines=4)
         assert t.n_frags == 4
-        assert t.is_uniform()
+        assert t.link_bandwidth(0, 1) == t.link_bandwidth(2, 3) == 118.0
 
     @pytest.mark.parametrize("kw", [
         {"n_machines": 0},
@@ -53,14 +53,19 @@ class TestLinkBandwidth:
         with pytest.raises(ValueError):
             t.link_bandwidth(1, 1)
 
+    @staticmethod
+    def link_bandwidths(t):
+        n = t.n_frags
+        return {t.link_bandwidth(s, d) for s in range(n) for d in range(n) if s != d}
+
     def test_uniform_when_single_frag_per_machine(self):
         t = Topology(n_machines=8, frags_per_machine=1, nic_bw=118, intra_bw=9999)
-        assert t.is_uniform()
+        assert self.link_bandwidths(t) == {118}
 
     def test_nonuniform(self):
         t = Topology(n_machines=2, frags_per_machine=2, nic_bw=118, intra_bw=2000)
-        assert not t.is_uniform()
+        assert self.link_bandwidths(t) == {118, 2000}
 
     def test_equal_bandwidths_uniform(self):
         t = Topology(n_machines=2, frags_per_machine=2, nic_bw=118, intra_bw=118)
-        assert t.is_uniform()
+        assert self.link_bandwidths(t) == {118}

@@ -7,12 +7,14 @@ DuckDB running the reference SQL over the same input.
 """
 import pytest
 
+from repro.engine.aggspec import avg_spec, sum_spec
 from repro.experiments.harness import run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
 from repro.oracle import assert_equivalent
 from repro.workloads.modis import modis_workload
 from repro.workloads.reviews import reviews_workload
+from repro.workloads.base import Workload
 from repro.workloads.tpch import q18_workload
 
 FAM = HashFamily(n=32, seed=7)
@@ -105,3 +107,71 @@ class TestComputeModelCorrectness:
         )
         assert_equivalent(res.final_df, modis.sql, r=modis.df)
         res.unpersist()
+
+
+#: Every (algorithm, mode) the engine runs: LOOM is all-to-one only.
+RUNS = [(a, "all_to_one") for a in ALGOS] + [
+    (a, "all_to_all") for a in ALGOS if a != "loom"
+]
+_SUM_SQL = "SELECT k, SUM(v) AS sum_v FROM r GROUP BY k"
+
+
+def _workload(spark, rows, *, key_type="bigint", avg=False):
+    """A 4-fragment workload over ``rows`` of (frag, k, v)."""
+    df = spark.createDataFrame(rows, schema=f"frag int, k {key_type}, v double")
+    if avg:
+        spec = avg_spec("k", "v", key_out="k", out="avg_v")
+        sql = "SELECT k, AVG(v) AS avg_v FROM r GROUP BY k"
+    else:
+        spec, sql = sum_spec("k", "v", key_out="k", out="sum_v"), _SUM_SQL
+    return Workload(name="edge", df=df, spec=spec, sql=sql, n_frags=N)
+
+
+def _check(wl, algo, mode):
+    _, res = run_algorithm(wl, algo, TOPO, mode=mode, family=FAM, keep_result=True)
+    assert_equivalent(res.final_df, wl.sql, r=wl.df)
+
+
+@pytest.mark.parametrize("algo,mode", RUNS)
+class TestEdgeCases:
+    """SQL semantics and degenerate inputs, checked against DuckDB."""
+
+    def test_avg_skips_null_values(self, spark, algo, mode):
+        # Key 1 averages its one non-null value; key 2 is all NULL.
+        rows = [
+            (0, 1, 10.0), (1, 1, None), (2, 1, None),
+            (0, 2, None), (3, 2, None),
+            (1, 3, 4.0), (2, 3, 6.0), (3, 3, None),
+        ]
+        _check(_workload(spark, rows, avg=True), algo, mode)
+
+    def test_null_keys(self, spark, algo, mode):
+        rows = [
+            (0, None, 1.0), (1, None, 2.0), (2, 5, 3.0),
+            (3, None, 4.0), (3, 5, 5.0), (1, 7, 6.0),
+        ]
+        _check(_workload(spark, rows), algo, mode)
+
+    def test_double_keys(self, spark, algo, mode):
+        # 1.2 and 1.7 are distinct groups, not one truncated key 1.
+        rows = [
+            (0, 1.2, 1.0), (1, 1.7, 2.0), (2, 1.2, 3.0),
+            (3, 2.5, 4.0), (0, 1.7, 5.0), (1, -0.5, 6.0),
+        ]
+        _check(_workload(spark, rows, key_type="double"), algo, mode)
+
+    def test_string_keys(self, spark, algo, mode):
+        rows = [
+            (0, "apple", 1.0), (1, "pear", 2.0), (2, "apple", 3.0),
+            (3, "fig", 4.0), (0, "pear", 5.0), (2, "", 6.0),
+        ]
+        _check(_workload(spark, rows, key_type="string"), algo, mode)
+
+    def test_empty_input(self, spark, algo, mode):
+        _check(_workload(spark, []), algo, mode)
+
+    def test_fragment_with_no_rows(self, spark, algo, mode):
+        # Fragment 2 holds nothing (it is the all-to-all destination of
+        # some partitions, and a would-be sender).
+        rows = [(0, 1, 1.0), (1, 1, 2.0), (3, 2, 3.0), (0, 3, 4.0), (3, 3, 5.0)]
+        _check(_workload(spark, rows), algo, mode)

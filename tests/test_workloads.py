@@ -6,7 +6,6 @@ import pytest
 from repro.workloads.modis import modis_workload
 from repro.workloads.reviews import amazon_workload, reviews_workload, yelp_workload
 from repro.workloads.synthetic import (
-    adjacent_jaccard,
     dup_keys_workload,
     imbalance_level,
     imbalance_workload,
@@ -30,16 +29,17 @@ def jaccard(a, b):
 class TestJaccardMath:
     @pytest.mark.parametrize("o", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_roundtrip(self, o):
-        assert overlap_for_jaccard(adjacent_jaccard(o)) == pytest.approx(o)
+        # Figure 9: unit-width ranges overlapping by o have J = o / (2 - o).
+        assert overlap_for_jaccard(o / (2.0 - o)) == pytest.approx(o)
 
     def test_known_values(self):
-        assert adjacent_jaccard(0.0) == 0.0
-        assert adjacent_jaccard(1.0) == 1.0
-        assert adjacent_jaccard(0.25) == pytest.approx(1 / 7)
+        assert overlap_for_jaccard(0.0) == 0.0
+        assert overlap_for_jaccard(1.0) == 1.0
+        assert overlap_for_jaccard(1 / 7) == pytest.approx(0.25)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            adjacent_jaccard(1.5)
+            overlap_for_jaccard(1.5)
         with pytest.raises(ValueError):
             overlap_for_jaccard(-0.1)
 
