@@ -107,14 +107,13 @@ def loom_plan(
     topo: Topology,
     *,
     w: float,
-    part: int = 0,
-    max_fanin: int | None = None,
 ) -> Plan:
-    """Build the LOOM aggregation plan for an all-to-one aggregation.
+    """Build the LOOM aggregation plan for an all-to-one aggregation of
+    partition 0.
 
     ``leaf_cards[v]`` is the accurate distinct-key count on fragment
     ``v``; ``domain`` is the accurate final result cardinality
-    ``|R_root|``; ``part`` is the (single) partition id being aggregated.
+    ``|R_root|``.
     """
     n = topo.n_frags
     if leaf_cards.shape != (n,):
@@ -122,15 +121,14 @@ def loom_plan(
     if n < 2:
         raise ValueError("need at least two fragments")
     order = _machine_order(topo, dest)
-    hi = min(n - 1, max_fanin) if max_fanin else n - 1
     best_f, best_cost = 2, math.inf
-    for f in range(2, hi + 1):
+    for f in range(2, n):
         cost = modeled_tree_cost(leaf_cards, domain, f, topo, order, w)
         if cost < best_cost - 1e-12:
             best_f, best_cost = f, cost
     phases = [
         Phase(
-            transfers=[Transfer(c, p, part) for c, p in level], shared_links=True
+            transfers=[Transfer(c, p, 0) for c, p in level], shared_links=True
         )
         for level in _levels(order, best_f)
     ]

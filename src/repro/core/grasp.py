@@ -9,8 +9,6 @@ single node operating on collected signatures.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.cost_model import cost_matrix
@@ -21,9 +19,7 @@ from repro.minhash.estimate import CoordinatorState, update
 _WINDOW = 64
 
 
-def select_phase(
-    c: np.ndarray, state: CoordinatorState, dest: np.ndarray
-) -> Phase:
+def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
     """Algorithm 2: greedily pick transfers for one phase.
 
     Repeatedly takes the globally cheapest viable ``(s -> t, l)`` entry
@@ -112,7 +108,6 @@ def plan_aggregation(
     """
     dest = np.asarray(dest, dtype=np.int64)
     limit = state.n_frags * state.n_parts + 1
-    t0 = time.perf_counter()
     plan = Plan(algorithm="grasp")
     while not aggregation_done(state, dest):
         if len(plan.phases) >= limit:
@@ -120,10 +115,9 @@ def plan_aggregation(
                 f"planner exceeded {limit} phases — no progress being made"
             )
         c = cost_matrix(state, bandwidth, dest, w)
-        phase = select_phase(c, state, dest)
+        phase = select_phase(c, state)
         if not phase.transfers:
             raise RuntimeError("no viable transfer found but aggregation incomplete")
         plan.phases.append(phase)
-    plan.planning_seconds = time.perf_counter() - t0
     plan.validate()
     return plan

@@ -74,14 +74,13 @@ class Plan:
     """A complete aggregation execution plan ``P = {P_1, ..., P_n}``.
 
     ``algorithm`` is a label for reporting ("grasp", "loom", "repart",
-    "preagg_repart"). ``planning_seconds`` records coordinator wall time
-    (minhash collection + scheduling), reported separately from modeled
-    network time (see DESIGN.md section 4).
+    "preagg_repart"). A plan holds no timing: it depends only on the
+    planner's inputs, so two identical plans compare equal. The harness
+    measures planning wall time (``ResultRow.planning_seconds``).
     """
 
     phases: list[Phase] = field(default_factory=list)
     algorithm: str = ""
-    planning_seconds: float = 0.0
 
     def validate(self) -> None:
         """Validate every phase plus cross-phase sender-inactivity.

@@ -42,10 +42,14 @@ class ResultRow:
     n_phases: int
     n_transfers: int
     loom_fanin: int = 0
-    #: Driver-side scheduling wall time only (Algorithm 2 + cost
-    #: matrices) — planning_seconds additionally includes the Spark
-    #: signature computation, whose first-run warm-up would otherwise
-    #: mask the Section 5.3.3 growth-with-N trend.
+    #: Wall times, both measured by :func:`run_algorithm` (plans carry
+    #: none). ``planning_seconds`` is the coordinator's whole step: for
+    #: GRASP the Spark signature job plus scheduling, for LOOM its
+    #: cardinality jobs plus ``loom_plan``, 0 for the repartition
+    #: baselines. ``schedule_seconds`` is GRASP's coordinator scheduling
+    #: alone (Eq. 8 cost matrices + Algorithm 2): the signature job's
+    #: first-run warm-up would otherwise mask the Section 5.3.3
+    #: growth-with-N trend.
     schedule_seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -74,6 +78,8 @@ def run_algorithm(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "loom" and mode != "all_to_one":
+        raise ValueError("LOOM only supports all-to-one aggregation")
     if topo.n_frags != workload.n_frags:
         raise ValueError("topology and workload disagree on fragment count")
     state0 = make_state(
@@ -86,54 +92,50 @@ def run_algorithm(
         partitioner=workload.partitioner,
     )
     fanin = 0
-    schedule_seconds = 0.0
-    if algorithm == "repart":
-        st = state0
-        plan = repartition_plan(st.n_frags, st.dest, algorithm="repart")
-    elif algorithm == "preagg_repart":
-        st = preaggregate(state0)
-        plan = repartition_plan(st.n_frags, st.dest, algorithm="preagg_repart")
-    elif algorithm == "loom":
-        if mode != "all_to_one":
-            raise ValueError("LOOM only supports all-to-one aggregation")
+    planning_seconds = schedule_seconds = 0.0
+    if algorithm in ("repart", "preagg_repart"):
+        st = state0 if algorithm == "repart" else preaggregate(state0)
+        plan = repartition_plan(st.n_frags, st.dest, algorithm=algorithm)
+        result = execute_plan(st, plan, topo, compute=compute)
+    else:
         st = preaggregate(state0)
         st.df.persist()
-        t0 = time.perf_counter()
-        # LOOM is configured with accurate cardinalities (Section 5.1.1).
-        per_frag = {
-            int(r["frag"]): int(r["count"])
-            for r in st.df.groupBy("frag").count().collect()
-        }
-        leaf_cards = np.array(
-            [per_frag.get(v, 0) for v in range(st.n_frags)], dtype=np.float64
-        )
-        domain = st.df.select("key").distinct().count()
-        plan = loom_plan(
-            leaf_cards, float(domain), dest_frag, topo, w=workload.tuple_bytes
-        )
-        plan.planning_seconds = time.perf_counter() - t0
-        fanin = loom_fanin(plan)
-    else:  # grasp
-        st = preaggregate(state0)
-        st.df.persist()
-        fam = family or HashFamily(n=100, seed=7)
-        t0 = time.perf_counter()
-        coord = compute_signatures(
-            st.df, fam, n_frags=st.n_frags, n_parts=st.n_parts
-        )
-        sig_seconds = time.perf_counter() - t0
-        b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)
-        plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
-        schedule_seconds = plan.planning_seconds
-        plan.planning_seconds += sig_seconds
-
-    result = execute_plan(st, plan, topo, compute=compute)
+        try:
+            if algorithm == "loom":
+                t0 = time.perf_counter()
+                # LOOM is configured with accurate cardinalities (Section 5.1.1).
+                per_frag = {
+                    int(r["frag"]): int(r["count"])
+                    for r in st.df.groupBy("frag").count().collect()
+                }
+                leaf_cards = np.array(
+                    [per_frag.get(v, 0) for v in range(st.n_frags)], dtype=np.float64
+                )
+                domain = st.df.select("key").distinct().count()
+                plan = loom_plan(
+                    leaf_cards, float(domain), dest_frag, topo, w=workload.tuple_bytes
+                )
+                fanin = loom_fanin(plan)
+            else:  # grasp
+                b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)
+                t0 = time.perf_counter()
+                coord = compute_signatures(
+                    st.df, family or HashFamily(n=100, seed=7),
+                    n_frags=st.n_frags, n_parts=st.n_parts,
+                )
+                t1 = time.perf_counter()
+                plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
+                schedule_seconds = time.perf_counter() - t1
+            planning_seconds = time.perf_counter() - t0
+            result = execute_plan(st, plan, topo, compute=compute)
+        finally:
+            st.df.unpersist()
     row = ResultRow(
         workload=workload.name,
         algorithm=algorithm,
         mode=mode,
         network_seconds=result.network_seconds,
-        planning_seconds=plan.planning_seconds,
+        planning_seconds=planning_seconds,
         dest_tuples=result.dest_tuples,
         total_tuples_sent=result.total_tuples_sent,
         n_phases=len(plan),
@@ -141,7 +143,6 @@ def run_algorithm(
         loom_fanin=fanin,
         schedule_seconds=schedule_seconds,
     )
-    st.df.unpersist()
     return row, result if keep_result else None
 
 

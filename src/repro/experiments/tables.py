@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.experiments.harness import ResultRow, add_speedups, run_algorithm
+from repro.experiments.harness import ALGORITHMS, add_speedups, run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.bandwidth import (
     benchmark_matrix,
@@ -40,10 +40,17 @@ from repro.workloads.tpch import q18_workload
 FAMILY = HashFamily(n=100, seed=7)
 
 
-def _row(r: ResultRow, **extra) -> dict:
-    d = r.as_dict()
-    d.update(extra)
-    return d
+def _compare(wl, topo, algos, tag, *, base=(), **run) -> list[dict]:
+    """Run ``algos`` on ``wl`` and return their rows with ``tag``'s
+    columns and the speedup over the first Preagg+Repart row of
+    ``base``, or of these rows when ``base`` is empty. ``run`` is passed
+    on to ``run_algorithm``."""
+    rows = [
+        {**run_algorithm(wl, algo, topo, family=FAMILY, **run)[0].as_dict(), **tag}
+        for algo in algos
+    ]
+    ref = next(r for r in (base or rows) if r["algorithm"] == "preagg_repart")
+    return add_speedups(rows, baseline_seconds=ref["network_seconds"])
 
 
 def t1_similarity(
@@ -57,7 +64,6 @@ def t1_similarity(
     similarity, uniform 118 MB/s network, one tuple per key."""
     topo = Topology(n_machines=n_frags, frags_per_machine=1, nic_bw=118.0)
     rows: list[dict] = []
-    baseline = None
     for j in jaccards:
         wl = similarity_workload(
             spark,
@@ -65,12 +71,9 @@ def t1_similarity(
             tuples_per_frag=tuples_per_frag,
             overlap=overlap_for_jaccard(j),
         )
-        for algo in ("repart", "preagg_repart", "loom", "grasp"):
-            r, _ = run_algorithm(wl, algo, topo, mode="all_to_one", family=FAMILY)
-            rows.append(_row(r, jaccard=j))
-            if algo == "preagg_repart" and baseline is None:
-                baseline = r.network_seconds  # Preagg+Repart at J=0
-    return add_speedups(rows, baseline_seconds=baseline)
+        # Baseline: Preagg+Repart at J=0.
+        rows += _compare(wl, topo, ALGORITHMS, {"jaccard": j}, base=rows)
+    return rows
 
 
 def t2_dup_keys(
@@ -87,14 +90,8 @@ def t2_dup_keys(
         wl = dup_keys_workload(
             spark, n_frags=n_frags, tuples_per_frag=tuples_per_frag, dups=d
         )
-        base = None
-        group: list[dict] = []
-        for algo in ("repart", "preagg_repart", "loom", "grasp"):
-            r, _ = run_algorithm(wl, algo, topo, mode="all_to_one", family=FAMILY)
-            group.append(_row(r, dups=d))
-            if algo == "preagg_repart":
-                base = r.network_seconds  # per-level baseline (Figure 11 axis)
-        rows += add_speedups(group, baseline_seconds=base)
+        # Per-level baseline (Figure 11 axis).
+        rows += _compare(wl, topo, ALGORITHMS, {"dups": d})
     return rows
 
 
@@ -109,18 +106,17 @@ def t3_imbalance(
     it cannot run all-to-all). Baseline: Preagg+Repart at l = 1."""
     topo = Topology(n_machines=n_frags, frags_per_machine=1, nic_bw=118.0)
     rows: list[dict] = []
-    baseline = None
     for f0 in frac0_levels:
         wl = imbalance_workload(
             spark, n_frags=n_frags, total_tuples=total_tuples, frac0=f0
         )
         lvl = imbalance_level(n_frags, f0)
-        for algo in ("repart", "preagg_repart", "grasp"):
-            r, _ = run_algorithm(wl, algo, topo, mode="all_to_all", family=FAMILY)
-            rows.append(_row(r, imbalance_level=lvl))
-            if algo == "preagg_repart" and baseline is None:
-                baseline = r.network_seconds  # Preagg+Repart at l = 1
-    return add_speedups(rows, baseline_seconds=baseline)
+        # Baseline: Preagg+Repart at l = 1.
+        rows += _compare(
+            wl, topo, ("repart", "preagg_repart", "grasp"),
+            {"imbalance_level": lvl}, base=rows, mode="all_to_all",
+        )
+    return rows
 
 
 def t4_bandwidth_estimation(
@@ -180,10 +176,9 @@ def t5_estimation_robustness(
         r, _ = run_algorithm(
             wl, "grasp", topo, mode="all_to_one", b_est=b, family=FAMILY
         )
-        row = _row(r, setting=name, underestimation=level)
         if name == "topology":
             base = r.network_seconds
-        rows.append(row)
+        rows.append({**r.as_dict(), "setting": name, "underestimation": level})
     for r in rows:
         r["pct_change_vs_topology"] = 100.0 * (r["network_seconds"] - base) / base
     return rows
@@ -210,17 +205,10 @@ def t6_nonuniform(
     )
     rows: list[dict] = []
     for mode, algos in (
-        ("all_to_one", ("repart", "preagg_repart", "loom", "grasp")),
+        ("all_to_one", ALGORITHMS),
         ("all_to_all", ("repart", "preagg_repart", "grasp")),
     ):
-        base = None
-        group: list[dict] = []
-        for algo in algos:
-            r, _ = run_algorithm(wl, algo, topo, mode=mode, family=FAMILY)
-            group.append(_row(r))
-            if algo == "preagg_repart":
-                base = r.network_seconds
-        rows += add_speedups(group, baseline_seconds=base)
+        rows += _compare(wl, topo, algos, {}, mode=mode)
     return rows
 
 
@@ -250,14 +238,7 @@ def t7_scaleout(
             ("all_to_one", ("preagg_repart", "loom", "grasp")),
             ("all_to_all", ("preagg_repart", "grasp")),
         ):
-            base = None
-            group: list[dict] = []
-            for algo in algos:
-                r, _ = run_algorithm(wl, algo, topo, mode=mode, family=FAMILY)
-                group.append(_row(r, n_frags=topo.n_frags))
-                if algo == "preagg_repart":
-                    base = r.network_seconds
-            rows += add_speedups(group, baseline_seconds=base)
+            rows += _compare(wl, topo, algos, {"n_frags": topo.n_frags}, mode=mode)
     return rows
 
 
@@ -287,14 +268,7 @@ def t8_real_datasets(
     ]
     rows: list[dict] = []
     for wl in workloads:
-        base = None
-        group: list[dict] = []
-        for algo in ("repart", "preagg_repart", "loom", "grasp"):
-            r, _ = run_algorithm(wl, algo, topo, mode="all_to_one", family=FAMILY)
-            group.append(_row(r))
-            if algo == "preagg_repart":
-                base = r.network_seconds
-        rows += add_speedups(group, baseline_seconds=base)
+        rows += _compare(wl, topo, ALGORITHMS, {})
     return rows
 
 
@@ -323,13 +297,4 @@ def t9_ec2(
         n_files=n_files,
         tuples_per_file=tuples_per_file,
     )
-    rows: list[dict] = []
-    base = None
-    for algo in ("repart", "preagg_repart", "loom", "grasp"):
-        r, _ = run_algorithm(
-            wl, algo, topo, mode="all_to_one", family=FAMILY, compute=compute
-        )
-        rows.append(_row(r))
-        if algo == "preagg_repart":
-            base = r.network_seconds
-    return add_speedups(rows, baseline_seconds=base)
+    return _compare(wl, topo, ALGORITHMS, {}, compute=compute)

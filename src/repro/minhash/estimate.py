@@ -73,16 +73,14 @@ class CoordinatorState:
 
     @classmethod
     def from_key_sets(
-        cls,
-        key_sets: list[list[np.ndarray]],
-        family: HashFamily,
-        *,
-        spread: bool = True,
+        cls, key_sets: list[list[np.ndarray]], family: HashFamily
     ) -> "CoordinatorState":
         """Build exact Card and true minhash signatures from explicit key
-        sets — ``key_sets[v][l]`` is the key array of partition l on
-        fragment v. Driver-side reference path (tests and tiny inputs);
-        production inputs come from ``repro.minhash.signatures``.
+        sets — ``key_sets[v][l]`` is the int64 key array of partition l
+        on fragment v. The numpy reference path (tests and tiny
+        inputs): it returns the ``Card``/``MinH`` that
+        ``repro.minhash.signatures.compute_signatures`` collects for the
+        same ``LongType`` keys, bit for bit.
         """
         n, m = len(key_sets), len(key_sets[0])
         card = np.zeros((n, m))
@@ -93,7 +91,7 @@ class CoordinatorState:
             for l in range(m):
                 keys = np.unique(np.asarray(key_sets[v][l]))
                 card[v, l] = len(keys)
-                minh[v, l] = signature(keys, family, spread=spread)
+                minh[v, l] = signature(keys, family)
         return cls(card, minh)
 
 

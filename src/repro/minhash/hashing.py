@@ -1,11 +1,13 @@
 """Universal hash family for minhash (Section 3.3 of the paper).
 
 The paper's example uses ``h(x) = (a*x + b) mod p``; we use the same
-family with the Mersenne prime ``p = 2^31 - 1``. Keys are first spread
-with ``xxhash64`` (in Spark) or a splitmix64 finalizer (in numpy) and
-reduced mod p, so ``a*x + b < 2^62`` always fits in a signed 64-bit
-integer — this lets the signature computation run as plain Spark SQL
-``min()`` aggregates without bigint overflow.
+family with the Mersenne prime ``p = 2^31 - 1``. Keys are first mixed
+with Spark's ``xxhash64`` and reduced ``pmod p``, so ``a*x + b < 2^62``
+always fits in a signed 64-bit integer — this lets the signature
+computation run as plain Spark SQL ``min()`` aggregates without bigint
+overflow. :func:`spread_keys` is the numpy port of that step for int64
+keys, so the numpy :func:`signature` equals Spark's bit for bit on
+``LongType`` keys; keys of other types are hashed only in Spark.
 """
 from __future__ import annotations
 
@@ -43,46 +45,49 @@ class HashFamily:
         return a, b
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer: a strong 64-bit mixing function.
+_P1, _P2, _P3, _P4, _P5 = (
+    np.uint64(v)
+    for v in (
+        0x9E3779B185EBCA87,
+        0xC2B2AE3D27D4EB4F,
+        0x165667B19E3779F9,
+        0x85EBCA77C2B2AE63,
+        0x27D4EB2F165667C5,
+    )
+)
 
-    Used as the driver-side stand-in for a generic key -> int64 spread
-    (Spark-side code uses ``xxhash64``; the two need not match because a
-    signature array is only ever compared against signatures produced by
-    the same path).
-    """
-    z = (x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+
+
+def _xxhash64(keys: np.ndarray) -> np.ndarray:
+    """Spark's ``xxhash64`` of a long column (XXH64 of 8 bytes, seed 42)."""
+    with np.errstate(over="ignore"):
+        h = np.uint64(42) + _P5 + np.uint64(8)
+        h = h ^ (_rotl(keys.astype(np.uint64) * _P2, 31) * _P1)
+        h = _rotl(h, 27) * _P1 + _P4
+        h = (h ^ (h >> np.uint64(33))) * _P2
+        h = (h ^ (h >> np.uint64(29))) * _P3
+        return (h ^ (h >> np.uint64(32))).view(np.int64)
 
 
 def spread_keys(keys: np.ndarray) -> np.ndarray:
-    """Map raw int keys to [0, p) with a strong mix (driver-side path)."""
-    return (_splitmix64(np.asarray(keys, dtype=np.int64)) % np.uint64(MERSENNE_P)).astype(
-        np.int64
-    )
+    """``pmod(xxhash64(key), p)`` for int64 keys, as Spark computes it."""
+    return _xxhash64(np.asarray(keys, dtype=np.int64)) % MERSENNE_P
 
 
-def signature(keys: np.ndarray, family: HashFamily, *, spread: bool = True) -> np.ndarray:
+def signature(keys: np.ndarray, family: HashFamily) -> np.ndarray:
     """Minhash signature of a key set: ``sig[j] = min_x h_j(x)``.
 
     An empty set yields a vector of :data:`EMPTY_SLOT`. Duplicate keys
-    are harmless (min is idempotent). With ``spread=False`` keys are
-    reduced ``key mod p`` directly — the mode used when cross-checking
-    against the Spark signature path, which spreads with ``xxhash64``
-    instead of splitmix64 (signatures are only ever compared within one
-    path; see ``repro.minhash.signatures``).
+    are harmless (min is idempotent).
     """
     if len(keys) == 0:
         return np.full(family.n, EMPTY_SLOT, dtype=np.int64)
     a, b = family.params
     # a < p < 2^31 and x < p < 2^31 keep a*x + b < 2^62: exact in int64,
     # matching what the Spark SQL expression computes.
-    x = (
-        spread_keys(np.asarray(keys))
-        if spread
-        else np.asarray(keys, dtype=np.int64) % MERSENNE_P
-    )
+    x = spread_keys(keys)
     hv = (x[:, None] * a[None, :] + b[None, :]) % MERSENNE_P
     return hv.min(axis=0).astype(np.int64)

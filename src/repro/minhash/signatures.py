@@ -23,27 +23,22 @@ def compute_signatures(
     *,
     n_frags: int,
     n_parts: int,
-    spread: bool = True,
 ) -> CoordinatorState:
     """Collect ``Card`` and ``MinH`` for every (fragment, partition).
 
     ``df`` must hold one row per distinct key per (frag, part) — i.e. the
     locally pre-aggregated state (``Card`` is a plain ``count``), with
     columns ``frag``, ``part`` and ``key``. Keys of any type ``xxhash64``
-    accepts are spread with it and reduced mod ``p = 2^31 - 1`` so the
-    ``a*x + b`` hash expression stays exact in 64-bit arithmetic.
-    ``spread=False`` skips xxhash64 and needs integral keys (used only by
-    the numpy-equivalence tests).
+    accepts are mixed with it and reduced mod ``p = 2^31 - 1`` so the
+    ``a*x + b`` hash expression stays exact in 64-bit arithmetic. For
+    ``LongType`` keys the result equals
+    ``CoordinatorState.from_key_sets`` bit for bit.
 
     Missing (frag, part) combinations yield Card 0 and the empty-set
     signature.
     """
     a, b = family.params
-    x = (
-        F.pmod(F.xxhash64(F.col("key")), F.lit(MERSENNE_P))
-        if spread
-        else F.pmod(F.col("key").cast("long"), F.lit(MERSENNE_P))
-    )
+    x = F.pmod(F.xxhash64(F.col("key")), F.lit(MERSENNE_P))
     aggs = [F.count(F.lit(1)).alias("card")] + [
         F.min((x * F.lit(int(a[j])) + F.lit(int(b[j]))) % F.lit(MERSENNE_P)).alias(
             f"h{j}"

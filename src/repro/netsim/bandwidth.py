@@ -6,7 +6,7 @@ throughput is recorded in a matrix ``B`` (row = sender, col = receiver).
 We have no physical network, so the "measurement" is simulated as the
 topology's theoretical point-to-point bandwidth times a deterministic
 multiplicative measurement noise. Section 5.3.1 of the paper reports
-estimation errors within 20% of theoretical, so the default noise is
+estimation errors within 20% of theoretical, so the noise is
 uniform in [1 - 0.2, 1].
 
 The robustness experiment (Figure 14 / T5) perturbs the matrix further
@@ -19,6 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netsim.topology import Topology
+
+#: Largest relative error of a simulated measurement (Section 5.3.1).
+MAX_ERROR = 0.2
 
 
 def theoretical_matrix(topo: Topology) -> np.ndarray:
@@ -35,22 +38,18 @@ def theoretical_matrix(topo: Topology) -> np.ndarray:
     return b
 
 
-def benchmark_matrix(
-    topo: Topology, *, seed: int = 0, max_error: float = 0.2
-) -> np.ndarray:
+def benchmark_matrix(topo: Topology, *, seed: int = 0) -> np.ndarray:
     """Simulate the startup pairwise-throughput benchmark.
 
     Each measured value is the theoretical bandwidth scaled by an
-    independent uniform factor in ``[1 - max_error, 1]`` — benchmarks
+    independent uniform factor in ``[1 - MAX_ERROR, 1]`` — benchmarks
     observe protocol overheads and so sit at or below line rate.
     Deterministic in ``seed``.
     """
-    if not 0 <= max_error < 1:
-        raise ValueError("max_error must be in [0, 1)")
     g = np.random.default_rng(seed)
     b = theoretical_matrix(topo)
     n = topo.n_frags
-    noise = 1.0 - max_error * g.random((n, n))
+    noise = 1.0 - MAX_ERROR * g.random((n, n))
     off_diag = ~np.eye(n, dtype=bool)
     b[off_diag] = b[off_diag] * noise[off_diag]
     return b
@@ -101,7 +100,7 @@ def underestimate(
 
 def estimation_report(topo: Topology, *, seed: int = 0):
     """Rows comparing theoretical vs simulated-benchmark bandwidth (the
-    default 20% error band), split into within-machine and across-machine
+    20% error band), split into within-machine and across-machine
     links (Figure 13 / T4).
 
     Returns a list of dicts with keys ``link_type``, ``theoretical_mbps``,

@@ -115,7 +115,7 @@ def imbalance_workload(
     seed: int = 0,
 ) -> Workload:
     """Section 5.2.3: all-to-all aggregation with a skewed repartition
-    function. Keys 1..K are spread uniformly across fragments; the
+    function. Keys 1..K are scattered uniformly across fragments; the
     partitioner sends the first ``frac0 * K`` keys to partition 0
     (destination fragment 0) and splits the rest evenly over partitions
     1..n_frags-1. ``frac0 = 1/n_frags`` is the balanced case (imbalance

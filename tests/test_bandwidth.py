@@ -39,20 +39,11 @@ class TestBenchmark:
 
     def test_within_error_band(self):
         theo = theoretical_matrix(TOPO)
-        est = benchmark_matrix(TOPO, seed=0, max_error=0.2)
+        est = benchmark_matrix(TOPO, seed=0)
         off = ~np.eye(4, dtype=bool)
         ratio = est[off] / theo[off]
         assert np.all(ratio <= 1.0 + 1e-12)
         assert np.all(ratio >= 0.8 - 1e-12)
-
-    def test_zero_error_equals_theoretical(self):
-        np.testing.assert_array_equal(
-            benchmark_matrix(TOPO, seed=0, max_error=0.0), theoretical_matrix(TOPO)
-        )
-
-    def test_invalid_error(self):
-        with pytest.raises(ValueError):
-            benchmark_matrix(TOPO, max_error=1.0)
 
 
 class TestUnderestimate:

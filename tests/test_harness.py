@@ -1,6 +1,9 @@
 """Tests for the experiment harness plumbing."""
+import dataclasses
+
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.experiments.harness import (
     add_speedups,
@@ -57,6 +60,18 @@ class TestRunAlgorithm:
         # Execution is costed on the true topology either way; the plans
         # may differ but both must complete.
         assert r_slow.network_seconds > 0 and r_fast.network_seconds > 0
+
+    @pytest.mark.parametrize("algo", ["grasp", "loom"])
+    def test_failed_run_releases_cached_state(self, spark, wl, algo):
+        # A row at frag = N makes signatures (GRASP) or execution (LOOM)
+        # raise after the pre-aggregated state is persisted.
+        bad = dataclasses.replace(
+            wl, df=wl.df.union(wl.df.limit(1).withColumn("frag", F.lit(wl.n_frags)))
+        )
+        spark.catalog.clearCache()
+        with pytest.raises(ValueError):
+            run_algorithm(bad, algo, TOPO, mode="all_to_one", family=FAM)
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
 
 
 class TestHelpers:

@@ -93,17 +93,6 @@ class TestLoomPlan:
         assert loom_fanin(flat) == 7
         assert len(flat) == 1
 
-    def test_max_fanin_cap(self):
-        cards = np.full(8, 100.0)
-        plan = loom_plan(cards, 1e9, 0, UNIFORM8, w=W, max_fanin=3)
-        assert loom_fanin(plan) <= 3
-
-    def test_custom_partition_id(self):
-        cards = np.full(4, 10.0)
-        topo = Topology(n_machines=4, nic_bw=1.0, intra_bw=1.0)
-        plan = loom_plan(cards, 40.0, 0, topo, w=W, part=5)
-        assert {t.part for p in plan for t in p} == {5}
-
     def test_two_fragments(self):
         topo = Topology(n_machines=2, nic_bw=1.0, intra_bw=1.0)
         plan = loom_plan(np.array([10.0, 10.0]), 20.0, 0, topo, w=W)

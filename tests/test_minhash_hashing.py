@@ -98,15 +98,6 @@ class TestSignature:
         union = signature(np.array(sorted(s | t), dtype=np.int64), fam)
         np.testing.assert_array_equal(union, np.minimum(su, tu))
 
-    def test_no_spread_mode_uses_raw_keys(self):
-        fam = HashFamily(n=8, seed=2)
-        a, b = fam.params
-        keys = np.array([7], dtype=np.int64)
-        expected = (7 * a + b) % MERSENNE_P
-        np.testing.assert_array_equal(
-            signature(keys, fam, spread=False), expected
-        )
-
     def test_jaccard_estimate_statistical(self):
         # Paper (Satuluri & Parthasarathy): n=100 → within 10% of truth
         # with 95% probability. Check a single known pair generously.

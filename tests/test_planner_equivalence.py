@@ -1,15 +1,31 @@
 """Plan-equality gate: the production planner must make exactly the plan
 of the reference planner in ``tests/reference_planner.py`` — the same
 transfers in the same order, ties included — and leave ``Card`` and
-``MinH`` bit-equal to the reference's."""
+``MinH`` bit-equal to the reference's. The gate covers random instances
+and, end to end through the harness, every workload family and mode
+that the T1–T9 tables run."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import grasp
+from repro.engine.state import make_state, preaggregate
+from repro.experiments.harness import run_algorithm
+from repro.experiments.tables import FAMILY
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import HashFamily
+from repro.netsim.bandwidth import benchmark_matrix
+from repro.netsim.topology import Topology
+from repro.workloads.modis import modis_workload
+from repro.workloads.reviews import amazon_workload, yelp_workload
+from repro.workloads.synthetic import (
+    dup_keys_workload,
+    imbalance_workload,
+    overlap_for_jaccard,
+    similarity_workload,
+)
+from repro.workloads.tpch import q18_workload
 from tests import reference_planner as ref
 
 
@@ -102,3 +118,61 @@ def test_identical_fragments_break_ties_in_c_order(bw):
     sets = [[np.arange(5)] for _ in range(9)]
     state = CoordinatorState.from_key_sets(sets, HashFamily(n=16, seed=1))
     assert_same_plan(state.card, state.minh, np.full((9, 9), bw), np.array([4]), 16.0)
+
+
+TOPO = Topology(n_machines=3, frags_per_machine=2, nic_bw=118.0, intra_bw=2000.0)
+N = TOPO.n_frags
+
+#: Every (workload family, mode) that T1–T9 run, at test scale.
+TABLE_WORKLOADS = {
+    "similarity-all_to_one": (
+        lambda s: similarity_workload(
+            s, n_frags=N, tuples_per_frag=300, overlap=overlap_for_jaccard(1 / 3)
+        ),
+        "all_to_one",
+    ),
+    "similarity-all_to_all": (
+        lambda s: similarity_workload(s, n_frags=N, tuples_per_frag=300, overlap=1.0),
+        "all_to_all",
+    ),
+    "dup_keys-all_to_one": (
+        lambda s: dup_keys_workload(s, n_frags=N, tuples_per_frag=600, dups=4),
+        "all_to_one",
+    ),
+    "imbalance-all_to_all": (
+        lambda s: imbalance_workload(s, n_frags=N, total_tuples=3000, frac0=1 / 2),
+        "all_to_all",
+    ),
+    "modis-all_to_one": (
+        lambda s: modis_workload(s, n_frags=N, n_files=12, tuples_per_file=300),
+        "all_to_one",
+    ),
+    "amazon-all_to_one": (lambda s: amazon_workload(s, n_frags=N, scale=1e-5), "all_to_one"),
+    "yelp-all_to_one": (lambda s: yelp_workload(s, n_frags=N, scale=1e-4), "all_to_one"),
+    "tpch-all_to_one": (lambda s: q18_workload(s, sf=0.002, n_frags=N), "all_to_one"),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_WORKLOADS))
+def test_table_workload_plan_matches_reference(spark, name):
+    """The harness's GRASP plan equals the reference planner's plan made
+    from the exact pre-aggregated key sets, hashed in numpy."""
+    make, mode = TABLE_WORKLOADS[name]
+    wl = make(spark)
+    _, res = run_algorithm(wl, "grasp", TOPO, mode=mode, family=FAMILY, keep_result=True)
+    res.unpersist()
+    st = preaggregate(
+        make_state(
+            wl.df, wl.spec, n_frags=N, mode=mode,
+            tuple_bytes=wl.tuple_bytes, partitioner=wl.partitioner,
+        )
+    )
+    sets = [[np.empty(0, dtype=np.int64)] * st.n_parts for _ in range(N)]
+    for (v, l), keys in st.df.select("frag", "part", "key").toPandas().groupby(["frag", "part"]):
+        sets[v][l] = keys["key"].to_numpy()
+    coord = CoordinatorState.from_key_sets(sets, FAMILY)
+    ref_plan, _, _ = ref.plan_aggregation(
+        coord.card, coord.minh, benchmark_matrix(TOPO, seed=0), st.dest, w=wl.tuple_bytes
+    )
+    assert len(ref_plan) > 1
+    assert res.plan == ref_plan
