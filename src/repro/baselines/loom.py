@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.plan import Phase, Plan, Transfer
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import phase_cost
+from repro.netsim.truecost import plan_cost
 
 
 def union_model(sizes: np.ndarray, domain: float) -> float:
@@ -40,19 +40,6 @@ def union_model(sizes: np.ndarray, domain: float) -> float:
     return float(domain * (1.0 - np.prod(1.0 - frac)))
 
 
-def _tree_parent(i: int, f: int) -> int:
-    """Parent index in a complete f-ary tree stored in BFS order."""
-    return (i - 1) // f
-
-
-def _depth(i: int, f: int) -> int:
-    d = 0
-    while i > 0:
-        i = _tree_parent(i, f)
-        d += 1
-    return d
-
-
 def _machine_order(topo: Topology, root: int) -> list[int]:
     """Fragments sorted by machine with the tree root first."""
     rest = [v for v in range(topo.n_frags) if v != root]
@@ -60,14 +47,18 @@ def _machine_order(topo: Topology, root: int) -> list[int]:
     return [root] + rest
 
 
-def _levels(order: list[int], f: int) -> list[list[tuple[int, int]]]:
-    """Per-depth lists of (child, parent) fragment pairs, deepest first."""
-    n = len(order)
-    by_depth: dict[int, list[tuple[int, int]]] = {}
-    for i in range(1, n):
-        d = _depth(i, f)
-        by_depth.setdefault(d, []).append((order[i], order[_tree_parent(i, f)]))
-    return [by_depth[d] for d in sorted(by_depth, reverse=True)]
+def _tree_phases(order: list[int], f: int) -> list[Phase]:
+    """The complete f-ary tree over ``order`` (root first, BFS layout: the
+    parent of ``order[i]`` is ``order[(i - 1) // f]``), one phase per
+    depth, deepest first: every node of a depth sends to its parent."""
+    phases = []
+    lo, width = 1, f
+    while lo < len(order):
+        hi = min(lo + width, len(order))
+        transfers = [Transfer(order[i], order[(i - 1) // f], 0) for i in range(lo, hi)]
+        phases.append(Phase(transfers=transfers, shared_links=True))
+        lo, width = hi, width * f
+    return phases[::-1]
 
 
 def modeled_tree_cost(
@@ -81,23 +72,18 @@ def modeled_tree_cost(
     """Modeled completion seconds of the complete f-ary tree with fan-in
     ``f``: per level, every parent's receive time under Eq. 9 sharing,
     with node sizes evolved by the uniform-reduction union model."""
+    phases = _tree_phases(order, f)
     size = {v: float(leaf_cards[v]) for v in order}
-    total = 0.0
-    for level in _levels(order, f):
-        phase = Phase(
-            transfers=[Transfer(c, p, 0) for c, p in level], shared_links=True
-        )
-        # Bytes per transfer from the current modeled sizes.
-        bytes_sent = {t: size[t.src] * w for t in phase}
-        total += phase_cost(phase, bytes_sent, topo)
-        for parent in {p for _, p in level}:
-            children = [c for c, p in level if p == parent]
-            size[parent] = union_model(
-                np.array([size[parent]] + [size[c] for c in children]), domain
-            )
-        for c, _ in level:
-            size[c] = 0.0
-    return total
+    shipped = []
+    for phase in phases:
+        shipped.append([size[t.src] for t in phase])
+        for parent in {t.dst for t in phase}:
+            children = [size[t.src] for t in phase if t.dst == parent]
+            size[parent] = union_model(np.array([size[parent]] + children), domain)
+        for t in phase:
+            size[t.src] = 0.0
+    root = np.array(order[:1])
+    return plan_cost(phases, shipped, root, topo, w, None, True).network_seconds
 
 
 def loom_plan(
@@ -118,21 +104,13 @@ def loom_plan(
     n = topo.n_frags
     if leaf_cards.shape != (n,):
         raise ValueError(f"leaf_cards shape {leaf_cards.shape} != ({n},)")
-    if n < 2:
-        raise ValueError("need at least two fragments")
     order = _machine_order(topo, dest)
     best_f, best_cost = 2, math.inf
     for f in range(2, n):
         cost = modeled_tree_cost(leaf_cards, domain, f, topo, order, w)
         if cost < best_cost - 1e-12:
             best_f, best_cost = f, cost
-    phases = [
-        Phase(
-            transfers=[Transfer(c, p, 0) for c, p in level], shared_links=True
-        )
-        for level in _levels(order, best_f)
-    ]
-    plan = Plan(phases=phases, algorithm="loom")
+    plan = Plan(phases=_tree_phases(order, best_f), algorithm="loom")
     plan.validate()
     return plan
 

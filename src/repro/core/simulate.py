@@ -2,20 +2,21 @@
 
 This is the reference semantics of Section 2: partitions are Python
 sets, a transfer moves the sender's whole (partition) set into the
-receiver's, costs follow the same ground-truth model as the Spark
-executor. Tests use it to (a) property-check planner output on random
-instances and (b) cross-validate the Spark executor's per-phase counts
-— the two paths must agree tuple-for-tuple on pre-aggregated input.
+receiver's, and the set sizes are priced by ``truecost.plan_cost``,
+as the Spark executor's counts are. Tests use it to (a) property-check
+planner output on random instances and (b) cross-validate the Spark
+executor's per-phase counts — the two paths must agree tuple-for-tuple
+on pre-aggregated input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.plan import Plan, Transfer
+from repro.core.plan import Plan
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, phase_cost
+from repro.netsim.truecost import ComputeModel, plan_cost
 
 
 @dataclass
@@ -27,7 +28,7 @@ class SimResult:
     dest_tuples: int
     total_tuples_sent: int
     #: final key sets, indexed ``[frag][part]``
-    final_sets: list[list[set]] = field(default_factory=list)
+    final_sets: list[list[set]]
 
     def completed(self, dest: np.ndarray) -> bool:
         """Eq. 7: every partition's keys live only at its destination."""
@@ -56,34 +57,14 @@ def simulate_plan(
     set). Raises if a transfer's sender/receiver collide with the plan
     structure in a way ``Plan.validate`` should have caught.
     """
-    dest = np.asarray(dest, dtype=np.int64)
     state = [[set(p) for p in parts] for parts in key_sets]
-    phase_secs: list[float] = []
-    dest_tuples = 0
-    total_sent = 0
+    shipped: list[list[int]] = []
     for phase in plan:
-        bytes_sent: dict[Transfer, float] = {}
-        outgoing: list[tuple[Transfer, set]] = []
-        for t in phase:
-            data = state[t.src][t.part]
-            bytes_sent[t] = len(data) * w
-            total_sent += len(data)
-            if t.dst == dest[t.part]:
-                dest_tuples += len(data)
-            outgoing.append((t, data))
-        phase_secs.append(
-            phase_cost(
-                phase, bytes_sent, topo, compute=compute, preaggregated=preaggregated
-            )
-        )
+        outgoing = [(t, state[t.src][t.part]) for t in phase]
+        shipped.append([len(data) for _, data in outgoing])
         for t, data in outgoing:
             state[t.src][t.part] = set()
         for t, data in outgoing:
             state[t.dst][t.part] |= data
-    return SimResult(
-        network_seconds=float(sum(phase_secs)),
-        phase_seconds=phase_secs,
-        dest_tuples=dest_tuples,
-        total_tuples_sent=total_sent,
-        final_sets=state,
-    )
+    cost = plan_cost(plan, shipped, np.asarray(dest), topo, w, compute, preaggregated)
+    return SimResult(**cost._asdict(), final_sets=state)

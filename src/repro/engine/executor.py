@@ -6,22 +6,22 @@ driver walks the plan over a ``holder[origin fragment, partition]``
 table and labels every origin with each (phase, sender) that ships it,
 plus a final label naming where it ends up. One Spark job joins the
 state to that label table and counts, per (phase, sender, partition),
-the tuples the transfer ships. Those counts feed the ground-truth
-network cost model (``repro.netsim.truecost``), so the simulated seconds
+the tuples the transfer ships. ``truecost.plan_cost`` prices those
+counts on the ground-truth network model, so the simulated seconds
 reflect exactly what a phase-by-phase run would move.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.plan import Plan, Transfer
+from repro.core.plan import Plan
 from repro.engine.state import DistState, finalize
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, phase_cost
+from repro.netsim.truecost import ComputeModel, plan_cost
 
 
 @dataclass
@@ -37,9 +37,9 @@ class ExecutionResult:
     final_df: DataFrame
     plan: Plan
     network_seconds: float
-    phase_seconds: list[float] = field(default_factory=list)
-    dest_tuples: int = 0
-    total_tuples_sent: int = 0
+    phase_seconds: list[float]
+    dest_tuples: int
+    total_tuples_sent: int
 
     def unpersist(self) -> None:
         """Release ``final_df`` if a caller cached it."""
@@ -113,29 +113,6 @@ def execute_plan(
             f"topology has {topo.n_frags} fragments, state has {state.n_frags}"
         )
     counts = _count_shipped(state, plan)
-    w = state.tuple_bytes
-
-    phase_secs: list[float] = []
-    dest_tuples = 0
-    total_sent = 0
-    for i, phase in enumerate(plan):
-        bytes_sent: dict[Transfer, float] = {}
-        for t in phase:
-            n = counts.get((i, t.src, t.part), 0)
-            bytes_sent[t] = n * w
-            total_sent += n
-            if t.dst == state.dest[t.part]:
-                dest_tuples += n
-        phase_secs.append(
-            phase_cost(
-                phase,
-                bytes_sent,
-                topo,
-                compute=compute,
-                preaggregated=state.preaggregated,
-            )
-        )
-
     leftovers = sum(
         n
         for (i, frag, part), n in counts.items()
@@ -146,11 +123,11 @@ def execute_plan(
             f"plan {plan.algorithm!r} incomplete: {leftovers} tuples not at "
             "their destination after the last phase"
         )
-    return ExecutionResult(
-        final_df=finalize(state),
-        plan=plan,
-        network_seconds=float(sum(phase_secs)),
-        phase_seconds=phase_secs,
-        dest_tuples=dest_tuples,
-        total_tuples_sent=total_sent,
+    shipped = [
+        [counts.get((i, t.src, t.part), 0) for t in phase]
+        for i, phase in enumerate(plan)
+    ]
+    cost = plan_cost(
+        plan, shipped, state.dest, topo, state.tuple_bytes, compute, state.preaggregated
     )
+    return ExecutionResult(final_df=finalize(state), plan=plan, **cost._asdict())

@@ -24,17 +24,26 @@ from repro.netsim.topology import Topology
 MAX_ERROR = 0.2
 
 
+def _link_classes(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """(N, N) masks of the within-machine and the across-machine links,
+    from ``topo.machines``; the diagonal is in neither."""
+    m = topo.machines
+    same = m[:, None] == m[None, :]
+    return same & ~np.eye(len(m), dtype=bool), ~same
+
+
 def theoretical_matrix(topo: Topology) -> np.ndarray:
-    """The (N, N) point-to-point bandwidth matrix from hardware specs.
+    """The (N, N) point-to-point bandwidth matrix from hardware specs:
+    an isolated transfer (no link sharing) runs at intra-machine speed
+    when co-located, otherwise at NIC speed.
 
     Diagonal entries are ``inf`` (a no-op "transfer" to oneself costs
     nothing); planners never schedule them (Eq. 8 sets their cost to inf).
     """
-    n = topo.n_frags
-    b = np.empty((n, n), dtype=np.float64)
-    for s in range(n):
-        for t in range(n):
-            b[s, t] = np.inf if s == t else topo.link_bandwidth(s, t)
+    within, across = _link_classes(topo)
+    b = np.full(within.shape, np.inf)
+    b[within] = topo.intra_bw
+    b[across] = topo.nic_bw
     return b
 
 
@@ -78,19 +87,14 @@ def underestimate(
     n = topo.n_frags
     if b.shape != (n, n):
         raise ValueError(f"matrix shape {b.shape} != ({n}, {n})")
-    same = np.array(
-        [[s != t and topo.same_machine(s, t) for t in range(n)] for s in range(n)]
-    )
-    cross = np.array(
-        [[s != t and not topo.same_machine(s, t) for t in range(n)] for s in range(n)]
-    )
-    on_mach = np.array([topo.machine_of(f) == 0 for f in range(n)])
+    within, across = _link_classes(topo)
+    on_mach = topo.machines == 0
     if scope == "colocation":
-        mask = same & on_mach[:, None] & on_mach[None, :]
+        mask = within & on_mach[:, None] & on_mach[None, :]
     elif scope == "nic":
-        mask = cross & (on_mach[:, None] | on_mach[None, :])
+        mask = across & (on_mach[:, None] | on_mach[None, :])
     elif scope == "switch":
-        mask = cross
+        mask = across
     else:
         raise ValueError(f"unknown scope {scope!r}")
     out = b.copy()
@@ -108,19 +112,12 @@ def estimation_report(topo: Topology, *, seed: int = 0):
     """
     theo = theoretical_matrix(topo)
     est = benchmark_matrix(topo, seed=seed)
-    n = topo.n_frags
     rows = []
-    for link_type in ("within_machine", "across_machines"):
-        sel = [
-            (s, t)
-            for s in range(n)
-            for t in range(n)
-            if s != t and topo.same_machine(s, t) == (link_type == "within_machine")
-        ]
-        if not sel:
+    for link_type, sel in zip(("within_machine", "across_machines"), _link_classes(topo)):
+        if not sel.any():
             continue
-        th = float(np.mean([theo[s, t] for s, t in sel]))
-        es = float(np.mean([est[s, t] for s, t in sel]))
+        th = float(np.mean(theo[sel]))
+        es = float(np.mean(est[sel]))
         rows.append(
             {
                 "link_type": link_type,

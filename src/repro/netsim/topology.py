@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -43,22 +45,15 @@ class Topology:
         """Total number of plan fragments (graph nodes ``V_C``)."""
         return self.n_machines * self.frags_per_machine
 
+    @property
+    def machines(self) -> np.ndarray:
+        """Machine of every fragment, indexed by fragment: fragments are
+        numbered machine by machine. Every same-machine/cross-machine link
+        class is derived from this vector."""
+        return np.arange(self.n_frags) // self.frags_per_machine
+
     def machine_of(self, frag: int) -> int:
         """Physical machine hosting fragment ``frag``."""
         if not 0 <= frag < self.n_frags:
             raise ValueError(f"fragment {frag} out of range [0, {self.n_frags})")
         return frag // self.frags_per_machine
-
-    def same_machine(self, s: int, t: int) -> bool:
-        return self.machine_of(s) == self.machine_of(t)
-
-    def link_bandwidth(self, s: int, t: int) -> float:
-        """Theoretical point-to-point bandwidth of an isolated ``s -> t``
-        transfer (no link sharing): intra-machine speed when co-located,
-        otherwise the min of the sender uplink and receiver downlink.
-        """
-        if s == t:
-            raise ValueError("no link from a fragment to itself")
-        if self.same_machine(s, t):
-            return self.intra_bw
-        return self.nic_bw

@@ -1,9 +1,11 @@
-"""Ground-truth phase costing with link sharing (Eq. 3–5 and Eq. 9).
+"""Ground-truth plan costing with link sharing (Eq. 3–5 and Eq. 9).
 
-The executor feeds this module the *actual* per-transfer byte counts it
-measured in Spark; this module returns the simulated wall time of each
-phase on the true topology. Link sharing follows Section 4.1: the
-available bandwidth of a cross-machine transfer is
+Every plan is priced here, by :func:`plan_cost`, from its per-transfer
+tuple counts: the Spark executor passes the counts it measured, the
+exact simulator its set sizes, and LOOM's fan-in model its union-model
+sizes. This module returns the simulated wall time of each phase on the
+true topology. Link sharing follows Section 4.1: the available
+bandwidth of a cross-machine transfer is
 
     B(s->t) = min( W_up(mach(s)) / d_o(mach(s)),
                    W_down(mach(t)) / d_i(mach(t)) )
@@ -11,8 +13,8 @@ available bandwidth of a cross-machine transfer is
 where ``d_o`` / ``d_i`` count concurrent cross-machine transfers in this
 phase using that NIC. Intra-machine transfers share the machine's
 intra-machine bandwidth the same way. The phase cost is the max over
-its transfers (Eq. 4); the executor sums the phase costs into the plan
-cost (Eq. 3).
+its transfers (Eq. 4); the plan cost is the sum of the phase costs
+(Eq. 3).
 
 The optional :class:`ComputeModel` adds per-receiver aggregation time
 (Section 5.3.5: EC2's 10 Gbps network makes the query compute-bound;
@@ -23,6 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.core.plan import Phase, Transfer
 from repro.netsim.topology import Topology
@@ -65,8 +70,9 @@ def phase_cost(
     d_out: Counter[int] = Counter()
     d_in: Counter[int] = Counter()
     d_intra: Counter[int] = Counter()
+    m = topo.machines
     for t in phase:
-        ms, mt = topo.machine_of(t.src), topo.machine_of(t.dst)
+        ms, mt = m[t.src], m[t.dst]
         if ms == mt:
             d_intra[ms] += 1
         else:
@@ -77,7 +83,7 @@ def phase_cost(
     recv_net: Counter[int] = Counter()  # frag -> max net seconds of its receives
     recv_bytes: Counter[int] = Counter()
     for t in phase:
-        ms, mt = topo.machine_of(t.src), topo.machine_of(t.dst)
+        ms, mt = m[t.src], m[t.dst]
         if ms == mt:
             bw = topo.intra_bw / d_intra[ms]
         else:
@@ -92,3 +98,48 @@ def phase_cost(
     thr = compute.throughput(preaggregated) * mb
     per_node = [recv_net[v] + recv_bytes[v] / thr for v in recv_net]
     return max(per_node, default=0.0)
+
+
+class PlanCost(NamedTuple):
+    """A plan's simulated cost and movement accounting (Eq. 3, Table 2)."""
+
+    network_seconds: float
+    phase_seconds: list[float]
+    #: tuples received by each partition's final destination, all phases
+    dest_tuples: int
+    total_tuples_sent: int
+
+
+def plan_cost(
+    plan: Iterable[Phase],
+    shipped: list[list[float]],
+    dest: np.ndarray,
+    topo: Topology,
+    w: float,
+    compute: ComputeModel | None,
+    preaggregated: bool,
+) -> PlanCost:
+    """Eq. 3: price every phase of ``plan`` with :func:`phase_cost` and
+    sum them.
+
+    ``shipped[i][j]`` is the tuple count of the ``j``-th transfer of
+    phase ``i`` (fractional in LOOM's union model); each tuple is ``w``
+    bytes. ``dest[l]`` is partition ``l``'s final destination.
+    """
+    phase_secs: list[float] = []
+    dest_tuples = total_sent = 0
+    for phase, counts in zip(plan, shipped, strict=True):
+        phase_secs.append(
+            phase_cost(
+                phase,
+                {t: n * w for t, n in zip(phase, counts, strict=True)},
+                topo,
+                compute=compute,
+                preaggregated=preaggregated,
+            )
+        )
+        for t, n in zip(phase, counts):
+            total_sent += n
+            if t.dst == dest[t.part]:
+                dest_tuples += n
+    return PlanCost(float(sum(phase_secs)), phase_secs, dest_tuples, total_sent)

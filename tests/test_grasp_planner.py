@@ -159,7 +159,7 @@ class TestPlanLoop:
 
         plan = plan_aggregation(st_, theoretical_matrix(topo), np.array([0]), w=W)
         first = plan.phases[0]
-        intra = [t for t in first if topo.same_machine(t.src, t.dst)]
+        intra = [t for t in first if topo.machine_of(t.src) == topo.machine_of(t.dst)]
         assert intra  # at least one intra-machine merge scheduled first
 
 

@@ -6,13 +6,15 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.experiments.harness import (
+    ALGORITHMS,
     add_speedups,
     format_rows,
     run_algorithm,
 )
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
-from repro.workloads.synthetic import similarity_workload
+from repro.oracle import assert_equivalent
+from repro.workloads.synthetic import dup_keys_workload, similarity_workload
 
 FAM = HashFamily(n=16, seed=7)
 TOPO = Topology(n_machines=4, frags_per_machine=1, nic_bw=118.0)
@@ -35,6 +37,16 @@ class TestRunAlgorithm:
     def test_loom_reports_fanin(self, wl):
         row, _ = run_algorithm(wl, "loom", TOPO, mode="all_to_one", family=FAM)
         assert row.loom_fanin >= 1
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_single_fragment(self, spark, algo):
+        # One fragment already holds the whole answer: no phase moves data.
+        one = dup_keys_workload(spark, n_frags=1, tuples_per_frag=300, dups=3)
+        row, res = run_algorithm(
+            one, algo, Topology(n_machines=1), family=FAM, keep_result=True
+        )
+        assert row.network_seconds == 0
+        assert_equivalent(res.final_df, one.sql, r=one.df)
 
     def test_unknown_algorithm(self, wl):
         with pytest.raises(ValueError):

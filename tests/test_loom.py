@@ -8,7 +8,9 @@ from repro.baselines.loom import (
     modeled_tree_cost,
     union_model,
     _machine_order,
+    _tree_phases,
 )
+from repro.core.plan import Plan
 from repro.core.simulate import simulate_plan
 from repro.netsim.topology import Topology
 
@@ -122,3 +124,16 @@ class TestModeledCost:
         flat = modeled_tree_cost(np.full(8, 10.0), 10.0, 7, topo, order, W)
         assert flat == pytest.approx(70.0)
         assert binary == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("f", range(2, 8))
+    def test_model_prices_tree_as_simulator(self, f):
+        # Every fragment holds the same keys and domain == their count, so
+        # the union model is exact: both paths price the same tree alike.
+        topo = Topology(n_machines=2, frags_per_machine=4, nic_bw=1.0, intra_bw=5.0)
+        order = _machine_order(topo, 5)
+        dest = np.array([5])
+        sets = [[set(range(10))] for _ in range(8)]
+        sim = simulate_plan(sets, Plan(_tree_phases(order, f)), dest, topo, w=W)
+        assert sim.completed(dest)
+        model = modeled_tree_cost(np.full(8, 10.0), 10.0, f, topo, order, W)
+        assert model == sim.network_seconds

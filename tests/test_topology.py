@@ -1,6 +1,8 @@
 """Unit tests for the star-topology cluster model."""
+import numpy as np
 import pytest
 
+from repro.netsim.bandwidth import theoretical_matrix
 from repro.netsim.topology import Topology
 
 
@@ -8,7 +10,8 @@ class TestConstruction:
     def test_defaults(self):
         t = Topology(n_machines=4)
         assert t.n_frags == 4
-        assert t.link_bandwidth(0, 1) == t.link_bandwidth(2, 3) == 118.0
+        b = theoretical_matrix(t)
+        assert b[0, 1] == b[2, 3] == 118.0
 
     @pytest.mark.parametrize("kw", [
         {"n_machines": 0},
@@ -28,6 +31,7 @@ class TestMachineMapping:
     def test_machine_of(self):
         t = Topology(n_machines=2, frags_per_machine=3)
         assert [t.machine_of(f) for f in range(6)] == [0, 0, 0, 1, 1, 1]
+        assert t.machines.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_machine_of_out_of_range(self):
         t = Topology(n_machines=2, frags_per_machine=3)
@@ -38,25 +42,22 @@ class TestMachineMapping:
 
     def test_same_machine(self):
         t = Topology(n_machines=2, frags_per_machine=2)
-        assert t.same_machine(0, 1)
-        assert not t.same_machine(1, 2)
+        m = t.machines
+        assert m[0] == m[1]
+        assert m[1] != m[2]
 
 
 class TestLinkBandwidth:
     def test_intra_vs_cross(self):
         t = Topology(n_machines=2, frags_per_machine=2, nic_bw=118, intra_bw=2000)
-        assert t.link_bandwidth(0, 1) == 2000
-        assert t.link_bandwidth(0, 2) == 118
-
-    def test_self_link_rejected(self):
-        t = Topology(n_machines=2)
-        with pytest.raises(ValueError):
-            t.link_bandwidth(1, 1)
+        b = theoretical_matrix(t)
+        assert b[0, 1] == 2000
+        assert b[0, 2] == 118
 
     @staticmethod
     def link_bandwidths(t):
-        n = t.n_frags
-        return {t.link_bandwidth(s, d) for s in range(n) for d in range(n) if s != d}
+        off_diagonal = ~np.eye(t.n_frags, dtype=bool)
+        return set(theoretical_matrix(t)[off_diagonal].tolist())
 
     def test_uniform_when_single_frag_per_machine(self):
         t = Topology(n_machines=8, frags_per_machine=1, nic_bw=118, intra_bw=9999)

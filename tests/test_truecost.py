@@ -1,24 +1,21 @@
 """Ground-truth cost model tests, including the paper's worked examples
 (Figures 2–4: repartition costs 9 time units, the similarity-aware plan
 6, the similarity-oblivious plan 9)."""
+import numpy as np
 import pytest
 
-from repro.core.plan import Phase, Transfer
+from repro.core.plan import Phase, Plan, Transfer
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, phase_cost
+from repro.netsim.truecost import ComputeModel, phase_cost, plan_cost
 
 # One "time unit" of the paper: 1 tuple of 1e6 bytes at 1 MB/s.
 W = 1e6
 UNIFORM4 = Topology(n_machines=4, frags_per_machine=1, nic_bw=1.0, intra_bw=1.0)
+DEST0 = np.array([0])
 
 
 def tuples(n):
     return n * W
-
-
-def plan_seconds(phases, bytes_per_phase, topo):
-    """Eq. 3: a plan's cost is the serial sum of its phase costs."""
-    return sum(phase_cost(p, b, topo) for p, b in zip(phases, bytes_per_phase))
 
 
 class TestPaperFigures:
@@ -35,16 +32,18 @@ class TestPaperFigures:
     def test_figure3_similarity_aware_costs_6(self):
         p1 = Phase([Transfer(1, 0, 0), Transfer(3, 2, 0)])
         p2 = Phase([Transfer(2, 0, 0)])
-        b1 = {t: tuples(3) for t in p1}
-        b2 = {t: tuples(3) for t in p2}  # {D,E,F} aggregated with {D,E,F}
-        assert plan_seconds([p1, p2], [b1, b2], UNIFORM4) == pytest.approx(6.0)
+        shipped = [[3, 3], [3]]  # {D,E,F} aggregated with {D,E,F}
+        cost = plan_cost(Plan([p1, p2]), shipped, DEST0, UNIFORM4, W, None, True)
+        assert cost.network_seconds == pytest.approx(6.0)
+        assert cost.dest_tuples == 6
 
     def test_figure4_similarity_oblivious_costs_9(self):
         p1 = Phase([Transfer(3, 1, 0)])
         p2 = Phase([Transfer(1, 0, 0)])
-        b1 = {t: tuples(3) for t in p1}
-        b2 = {t: tuples(6) for t in p2}  # {A..F}: no overlap to collapse
-        assert plan_seconds([p1, p2], [b1, b2], UNIFORM4) == pytest.approx(9.0)
+        shipped = [[3], [6]]  # {A..F}: no overlap to collapse
+        cost = plan_cost(Plan([p1, p2]), shipped, DEST0, UNIFORM4, W, None, True)
+        assert cost.network_seconds == pytest.approx(9.0)
+        assert cost.dest_tuples == 6
 
 
 class TestLinkSharing:
@@ -122,11 +121,9 @@ class TestComputeModel:
 
 class TestPlanCost:
     def test_sum_over_phases(self):
-        p1 = Phase([Transfer(1, 0, 0)])
-        p2 = Phase([Transfer(2, 0, 0)])
-        cost = plan_seconds(
-            [p1, p2],
-            [{Transfer(1, 0, 0): tuples(2)}, {Transfer(2, 0, 0): tuples(3)}],
-            UNIFORM4,
-        )
-        assert cost == 5.0
+        """Eq. 3: a plan's cost is the serial sum of its phase costs."""
+        plan = Plan([Phase([Transfer(1, 0, 0)]), Phase([Transfer(2, 0, 0)])])
+        cost = plan_cost(plan, [[2], [3]], DEST0, UNIFORM4, W, None, True)
+        assert cost.phase_seconds == [2.0, 3.0]
+        assert cost.network_seconds == 5.0
+        assert cost.dest_tuples == cost.total_tuples_sent == 5
