@@ -6,18 +6,21 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
+    limit > half of physical memory clamped to [2, 8] GiB (the tier-1
+    command's rule). spark.driver.memory is read at JVM launch, not from
+    SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
     imported anywhere — this runs at conftest import, which pytest loads
     before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, any limit above
+    physical memory, or a missing limit) is treated as absent so the JVM
+    is never handed an impossible heap.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for p in (
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
@@ -26,15 +29,15 @@ def _driver_mem() -> str:
             raw = open(p).read().strip()
             if not raw or raw == "max":
                 continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+            if not (1 << 30 <= int(raw) <= phys):  # v1 "unlimited" → ~9.2e18
                 continue
+            gib = int(raw) / (1 << 30)
             os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    return f"{min(8, max(2, phys >> 31))}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -40,21 +40,17 @@ def union_model(sizes: np.ndarray, domain: float) -> float:
     return float(domain * (1.0 - np.prod(1.0 - frac)))
 
 
-def _machine_order(topo: Topology, root: int) -> list[int]:
-    """Fragments sorted by machine with the tree root first."""
-    rest = [v for v in range(topo.n_frags) if v != root]
-    rest.sort(key=lambda v: (topo.machine_of(v), v))
-    return [root] + rest
-
-
-def _tree_phases(order: list[int], f: int) -> list[Phase]:
-    """The complete f-ary tree over ``order`` (root first, BFS layout: the
-    parent of ``order[i]`` is ``order[(i - 1) // f]``), one phase per
-    depth, deepest first: every node of a depth sends to its parent."""
+def _tree_phases(root: int, n: int, f: int) -> list[Phase]:
+    """The complete f-ary tree over ``order`` = ``root`` followed by the
+    other fragments in id order (BFS layout: the parent of ``order[i]`` is
+    ``order[(i - 1) // f]``), one phase per depth, deepest first: every
+    node of a depth sends to its parent. Fragments are numbered machine by
+    machine, so siblings tend to share a machine."""
+    order = [root] + [v for v in range(n) if v != root]
     phases = []
     lo, width = 1, f
-    while lo < len(order):
-        hi = min(lo + width, len(order))
+    while lo < n:
+        hi = min(lo + width, n)
         transfers = [Transfer(order[i], order[(i - 1) // f], 0) for i in range(lo, hi)]
         phases.append(Phase(transfers=transfers, shared_links=True))
         lo, width = hi, width * f
@@ -66,14 +62,15 @@ def modeled_tree_cost(
     domain: float,
     f: int,
     topo: Topology,
-    order: list[int],
+    root: int,
     w: float,
 ) -> float:
     """Modeled completion seconds of the complete f-ary tree with fan-in
-    ``f``: per level, every parent's receive time under Eq. 9 sharing,
-    with node sizes evolved by the uniform-reduction union model."""
-    phases = _tree_phases(order, f)
-    size = {v: float(leaf_cards[v]) for v in order}
+    ``f`` and root ``root``: per level, every parent's receive time under
+    Eq. 9 sharing, with node sizes evolved by the uniform-reduction union
+    model."""
+    phases = _tree_phases(root, topo.n_frags, f)
+    size = {v: float(c) for v, c in enumerate(leaf_cards)}
     shipped = []
     for phase in phases:
         shipped.append([size[t.src] for t in phase])
@@ -82,8 +79,7 @@ def modeled_tree_cost(
             size[parent] = union_model(np.array([size[parent]] + children), domain)
         for t in phase:
             size[t.src] = 0.0
-    root = np.array(order[:1])
-    return plan_cost(phases, shipped, root, topo, w, None, True).network_seconds
+    return plan_cost(phases, shipped, np.array([root]), topo, w, None).network_seconds
 
 
 def loom_plan(
@@ -104,13 +100,12 @@ def loom_plan(
     n = topo.n_frags
     if leaf_cards.shape != (n,):
         raise ValueError(f"leaf_cards shape {leaf_cards.shape} != ({n},)")
-    order = _machine_order(topo, dest)
     best_f, best_cost = 2, math.inf
     for f in range(2, n):
-        cost = modeled_tree_cost(leaf_cards, domain, f, topo, order, w)
+        cost = modeled_tree_cost(leaf_cards, domain, f, topo, dest, w)
         if cost < best_cost - 1e-12:
             best_f, best_cost = f, cost
-    plan = Plan(phases=_tree_phases(order, best_f), algorithm="loom")
+    plan = Plan(phases=_tree_phases(dest, n, best_f), algorithm="loom")
     plan.validate()
     return plan
 

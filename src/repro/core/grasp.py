@@ -15,9 +15,6 @@ from repro.core.cost_model import cost_matrix
 from repro.core.plan import Phase, Plan, Transfer
 from repro.minhash.estimate import CoordinatorState, update
 
-#: Sorted candidates checked per validity test in :func:`select_phase`.
-_WINDOW = 64
-
 
 def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
     """Algorithm 2: greedily pick transfers for one phase.
@@ -37,9 +34,10 @@ def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
     entries whose sender, receiver or (l, node) is already used. The
     sort is done in bands of the cheapest remaining entries
     (``np.partition`` for the band's top value, then every entry up to
-    and including it, so ties stay in one band); a band is checked for
-    validity a window at a time, and entries that are already invalid
-    are dropped before the next, wider band is cut.
+    and including it, so ties stay in one band). Each pick keeps only the
+    band's still-valid entries and takes the first; the band ends when
+    none is valid, and entries that are already invalid are dropped
+    before the next, wider band is cut.
     """
     m, n, _ = c.shape
     send_ok = np.ones(n, dtype=bool)
@@ -58,23 +56,18 @@ def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
         band *= 4
         bl, rest = np.divmod(idx, n * n)
         bs, bt = np.divmod(rest, n)
-        pos = 0
-        while pos < idx.size:
-            win = slice(pos, pos + _WINDOW)
-            wl, ws, wt = bl[win], bs[win], bt[win]
-            hit = send_ok[ws] & recv_ok[wt] & part_ok[wl, ws] & part_ok[wl, wt]
-            i = int(np.argmax(hit))
-            if not hit[i]:
-                pos += _WINDOW
-                continue
-            l, s, t = int(wl[i]), int(ws[i]), int(wt[i])
+        while True:
+            hit = send_ok[bs] & recv_ok[bt] & part_ok[bl, bs] & part_ok[bl, bt]
+            bl, bs, bt = bl[hit], bs[hit], bt[hit]
+            if not bl.size:
+                break
+            l, s, t = int(bl[0]), int(bs[0]), int(bt[0])
             phase.transfers.append(Transfer(s, t, l))
             send_ok[s] = False
             recv_ok[t] = False
             part_ok[l, s] = False
             part_ok[l, t] = False
             update(state, s, t, l)
-            pos += i + 1
         # Entries that are invalid now stay invalid: drop them before
         # cutting the next band.
         ok = part_ok[:, :, None] & part_ok[:, None, :] & send_ok[:, None] & recv_ok

@@ -16,17 +16,13 @@ import numpy as np
 
 from repro.core.plan import Plan
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, plan_cost
+from repro.netsim.truecost import PlanCost, plan_cost
 
 
 @dataclass
-class SimResult:
+class SimResult(PlanCost):
     """Exact costs and movement accounting for one simulated plan."""
 
-    network_seconds: float
-    phase_seconds: list[float]
-    dest_tuples: int
-    total_tuples_sent: int
     #: final key sets, indexed ``[frag][part]``
     final_sets: list[list[set]]
 
@@ -46,8 +42,6 @@ def simulate_plan(
     topo: Topology,
     *,
     w: float = 16.0,
-    compute: ComputeModel | None = None,
-    preaggregated: bool = True,
 ) -> SimResult:
     """Execute ``plan`` exactly over ``key_sets[frag][part]``.
 
@@ -66,5 +60,5 @@ def simulate_plan(
             state[t.src][t.part] = set()
         for t, data in outgoing:
             state[t.dst][t.part] |= data
-    cost = plan_cost(plan, shipped, np.asarray(dest), topo, w, compute, preaggregated)
-    return SimResult(**cost._asdict(), final_sets=state)
+    cost = plan_cost(plan, shipped, np.asarray(dest), topo, w, None)
+    return SimResult(**vars(cost), final_sets=state)

@@ -21,25 +21,29 @@ from pyspark.sql import functions as F
 from repro.core.plan import Plan
 from repro.engine.state import DistState, finalize
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel, plan_cost
+from repro.netsim.truecost import PlanCost, plan_cost
+
+
+@dataclass(frozen=True)
+class ComputeModel:
+    """Receiver-side aggregation throughput (MB/s) of raw and of
+    pre-aggregated input (Section 5.3.5)."""
+
+    raw_mbps: float = 309.0
+    preagg_mbps: float = 811.0
+
+    def throughput(self, preaggregated: bool) -> float:
+        return self.preagg_mbps if preaggregated else self.raw_mbps
 
 
 @dataclass
-class ExecutionResult:
-    """Outcome of executing one plan.
-
-    ``network_seconds`` is the simulated response time (Eq. 3: serial sum
-    of phase costs, including receiver compute when a
-    :class:`ComputeModel` is given). ``dest_tuples`` counts tuples
-    received by final-destination fragments across all phases (Table 2).
-    """
+class ExecutionResult(PlanCost):
+    """Outcome of executing one plan: its simulated cost (Eq. 3, Table 2;
+    ``network_seconds`` includes receiver compute when a
+    :class:`ComputeModel` is given) and the finalized result."""
 
     final_df: DataFrame
     plan: Plan
-    network_seconds: float
-    phase_seconds: list[float]
-    dest_tuples: int
-    total_tuples_sent: int
 
     def unpersist(self) -> None:
         """Release ``final_df`` if a caller cached it."""
@@ -127,7 +131,6 @@ def execute_plan(
         [counts.get((i, t.src, t.part), 0) for t in phase]
         for i, phase in enumerate(plan)
     ]
-    cost = plan_cost(
-        plan, shipped, state.dest, topo, state.tuple_bytes, compute, state.preaggregated
-    )
-    return ExecutionResult(final_df=finalize(state), plan=plan, **cost._asdict())
+    recv_mbps = None if compute is None else compute.throughput(state.preaggregated)
+    cost = plan_cost(plan, shipped, state.dest, topo, state.tuple_bytes, recv_mbps)
+    return ExecutionResult(**vars(cost), final_df=finalize(state), plan=plan)

@@ -16,13 +16,12 @@ import numpy as np
 from repro.baselines.loom import loom_fanin, loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
-from repro.engine.executor import ExecutionResult, execute_plan
+from repro.engine.executor import ComputeModel, ExecutionResult, execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
 from repro.netsim.bandwidth import benchmark_matrix
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel
 from repro.workloads.base import Workload
 
 ALGORITHMS = ("repart", "preagg_repart", "loom", "grasp")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.engine.executor import ComputeModel
 from repro.experiments.harness import ALGORITHMS, add_speedups, run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.bandwidth import (
@@ -24,7 +25,6 @@ from repro.netsim.bandwidth import (
     underestimate,
 )
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel
 from repro.workloads.modis import modis_workload
 from repro.workloads.reviews import amazon_workload, yelp_workload
 from repro.workloads.synthetic import (

@@ -51,9 +51,3 @@ class Topology:
         numbered machine by machine. Every same-machine/cross-machine link
         class is derived from this vector."""
         return np.arange(self.n_frags) // self.frags_per_machine
-
-    def machine_of(self, frag: int) -> int:
-        """Physical machine hosting fragment ``frag``."""
-        if not 0 <= frag < self.n_frags:
-            raise ValueError(f"fragment {frag} out of range [0, {self.n_frags})")
-        return frag // self.frags_per_machine

@@ -16,91 +16,62 @@ intra-machine bandwidth the same way. The phase cost is the max over
 its transfers (Eq. 4); the plan cost is the sum of the phase costs
 (Eq. 3).
 
-The optional :class:`ComputeModel` adds per-receiver aggregation time
-(Section 5.3.5: EC2's 10 Gbps network makes the query compute-bound;
-the paper measures 309 MB/s aggregation throughput on raw data and
-811 MB/s on pre-aggregated data).
+With a receiver throughput ``recv_mbps``, each receiver also spends
+``received_bytes / recv_mbps`` aggregating its input (Section 5.3.5:
+EC2's 10 Gbps network makes the query compute-bound). Which throughput
+applies is the engine's concern; this module only prices bytes.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.plan import Phase, Transfer
+from repro.core.plan import Phase
 from repro.netsim.topology import Topology
 
 
-@dataclass(frozen=True)
-class ComputeModel:
-    """Receiver-side aggregation throughput model (MB/s)."""
-
-    raw_mbps: float = 309.0
-    preagg_mbps: float = 811.0
-
-    def throughput(self, preaggregated: bool) -> float:
-        return self.preagg_mbps if preaggregated else self.raw_mbps
-
-
 def phase_cost(
-    phase: Phase,
-    bytes_sent: dict[Transfer, float],
-    topo: Topology,
-    *,
-    compute: ComputeModel | None = None,
-    preaggregated: bool = True,
+    phase: Phase, bytes_sent: Sequence[float], topo: Topology, recv_mbps: float | None
 ) -> float:
     """Simulated wall-clock seconds of one phase on the true topology.
 
-    ``bytes_sent`` maps each transfer in the phase to the bytes it moved
-    (actual Spark-measured tuple count × tuple width). Transfers with
-    zero bytes still occupy their links (the sender must still signal
-    end-of-stream) but contribute zero time.
+    ``bytes_sent[j]`` is the bytes the ``j``-th transfer of ``phase``
+    moved (tuple count × tuple width). Transfers with zero bytes still
+    occupy their links (the sender must still signal end-of-stream) but
+    contribute zero time.
 
-    With a :class:`ComputeModel`, each receiver additionally spends
-    ``received_bytes / throughput`` aggregating its input, serialised
-    after its network receive; the phase ends when the slowest node
-    finishes (max over nodes of net + compute time).
+    With a receiver throughput ``recv_mbps`` (MB/s), each receiver
+    additionally spends ``received_bytes / recv_mbps`` aggregating its
+    input, serialised after its network receive; the phase ends when the
+    slowest node finishes (max over nodes of net + compute time).
     """
     mb = 1e6
-    # Concurrent-transfer counts per NIC (cross-machine) and per machine's
-    # intra-machine fabric, for the Eq. 9 bandwidth split.
-    d_out: Counter[int] = Counter()
-    d_in: Counter[int] = Counter()
-    d_intra: Counter[int] = Counter()
     m = topo.machines
-    for t in phase:
-        ms, mt = m[t.src], m[t.dst]
+    links = [(m[t.src], m[t.dst]) for t in phase]
+    # Eq. 9 sharers: concurrent transfers on each machine's intra-machine
+    # fabric, uplink and downlink.
+    intra = Counter(ms for ms, mt in links if ms == mt)
+    up = Counter(ms for ms, mt in links if ms != mt)
+    down = Counter(mt for ms, mt in links if ms != mt)
+    net: defaultdict[int, float] = defaultdict(float)  # receiver -> slowest receive
+    got: defaultdict[int, float] = defaultdict(float)  # receiver -> bytes received
+    for t, (ms, mt), b in zip(phase, links, bytes_sent, strict=True):
         if ms == mt:
-            d_intra[ms] += 1
+            bw = topo.intra_bw / intra[ms]
         else:
-            d_out[ms] += 1
-            d_in[mt] += 1
-
-    net_time: dict[Transfer, float] = {}
-    recv_net: Counter[int] = Counter()  # frag -> max net seconds of its receives
-    recv_bytes: Counter[int] = Counter()
-    for t in phase:
-        ms, mt = m[t.src], m[t.dst]
-        if ms == mt:
-            bw = topo.intra_bw / d_intra[ms]
-        else:
-            bw = min(topo.nic_bw / d_out[ms], topo.nic_bw / d_in[mt])
-        sec = bytes_sent.get(t, 0.0) / (bw * mb)
-        net_time[t] = sec
-        recv_net[t.dst] = max(recv_net[t.dst], sec)
-        recv_bytes[t.dst] += bytes_sent.get(t, 0.0)
-
-    if compute is None:
-        return max(net_time.values(), default=0.0)
-    thr = compute.throughput(preaggregated) * mb
-    per_node = [recv_net[v] + recv_bytes[v] / thr for v in recv_net]
-    return max(per_node, default=0.0)
+            bw = topo.nic_bw / max(up[ms], down[mt])
+        net[t.dst] = max(net[t.dst], b / (bw * mb))
+        got[t.dst] += b
+    if recv_mbps is None:
+        return max(net.values(), default=0.0)
+    return max((net[v] + got[v] / (recv_mbps * mb) for v in net), default=0.0)
 
 
-class PlanCost(NamedTuple):
+@dataclass
+class PlanCost:
     """A plan's simulated cost and movement accounting (Eq. 3, Table 2)."""
 
     network_seconds: float
@@ -116,8 +87,7 @@ def plan_cost(
     dest: np.ndarray,
     topo: Topology,
     w: float,
-    compute: ComputeModel | None,
-    preaggregated: bool,
+    recv_mbps: float | None,
 ) -> PlanCost:
     """Eq. 3: price every phase of ``plan`` with :func:`phase_cost` and
     sum them.
@@ -129,15 +99,7 @@ def plan_cost(
     phase_secs: list[float] = []
     dest_tuples = total_sent = 0
     for phase, counts in zip(plan, shipped, strict=True):
-        phase_secs.append(
-            phase_cost(
-                phase,
-                {t: n * w for t, n in zip(phase, counts, strict=True)},
-                topo,
-                compute=compute,
-                preaggregated=preaggregated,
-            )
-        )
+        phase_secs.append(phase_cost(phase, [n * w for n in counts], topo, recv_mbps))
         for t, n in zip(phase, counts):
             total_sent += n
             if t.dst == dest[t.part]:

@@ -10,11 +10,12 @@ from repro.core.grasp import plan_aggregation
 from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
 from repro.engine.aggspec import sum_spec
-from repro.engine.executor import execute_plan
+from repro.engine.executor import ComputeModel, execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
 from repro.netsim.topology import Topology
+from repro.netsim.truecost import plan_cost
 from repro.oracle import assert_equivalent
 from repro.experiments.harness import run_algorithm
 from repro.workloads.synthetic import (
@@ -134,6 +135,22 @@ class TestCostAccounting:
         res = execute_plan(st, plan, TOPO)
         assert res.dest_tuples == remote
         assert res.total_tuples_sent == remote
+
+    def test_compute_priced_at_state_throughput(self, spark):
+        """The executor picks the receiver throughput from the state: raw
+        input aggregates at ``raw_mbps``, pre-aggregated input at
+        ``preagg_mbps``."""
+        wl = dup_keys_workload(spark, n_frags=N, tuples_per_frag=600, dups=4)
+        raw = make_state(wl.df, wl.spec, n_frags=N, mode="all_to_one")
+        plan = repartition_plan(N, raw.dest)
+        cm = ComputeModel(raw_mbps=1.0, preagg_mbps=2.0)
+        for st, mbps in ((raw, 1.0), (preaggregate(raw), 2.0)):
+            per_frag = st.df.groupBy("frag").count().collect()
+            rows = {r["frag"]: r["count"] for r in per_frag}
+            shipped = [[rows[t.src] for t in phase] for phase in plan]
+            res = execute_plan(st, plan, TOPO, compute=cm)
+            cost = plan_cost(plan, shipped, st.dest, TOPO, st.tuple_bytes, mbps)
+            assert res.network_seconds == cost.network_seconds
 
     @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
     def test_incomplete_plan_raises(self, spark, sim_wl, mode):

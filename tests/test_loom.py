@@ -7,7 +7,6 @@ from repro.baselines.loom import (
     loom_plan,
     modeled_tree_cost,
     union_model,
-    _machine_order,
     _tree_phases,
 )
 from repro.core.plan import Plan
@@ -42,17 +41,22 @@ class TestUnionModel:
         assert union_model(np.array([150.0]), 100.0) == pytest.approx(100.0)
 
 
+def bfs_order(phases):
+    """The tree's non-root nodes in BFS order: the last phase sends depth
+    1, and each phase lists its senders in layout order."""
+    return [t.src for p in phases[::-1] for t in p]
+
+
 class TestMachineOrder:
     def test_root_first(self):
-        topo = Topology(n_machines=2, frags_per_machine=2)
-        order = _machine_order(topo, root=3)
-        assert order[0] == 3
-        assert sorted(order) == [0, 1, 2, 3]
+        phases = _tree_phases(3, 4, 2)
+        assert {t.dst for t in phases[-1]} == {3}
+        assert sorted(bfs_order(phases)) == [0, 1, 2]
 
     def test_machine_grouping(self):
         topo = Topology(n_machines=2, frags_per_machine=3)
-        order = _machine_order(topo, root=0)
-        machines = [topo.machine_of(v) for v in order[1:]]
+        order = bfs_order(_tree_phases(0, topo.n_frags, 2))
+        machines = [topo.machines[v] for v in order]
         assert machines == sorted(machines)
 
 
@@ -108,10 +112,9 @@ class TestLoomPlan:
 class TestModeledCost:
     def test_flat_tree_cost(self):
         topo = Topology(n_machines=4, nic_bw=1.0, intra_bw=1.0)
-        order = _machine_order(topo, 0)
         # Fan-in 3, disjoint leaves of 10 tuples: one phase, 3 transfers
         # sharing the root downlink -> 30 units.
-        cost = modeled_tree_cost(np.full(4, 10.0), 1e9, 3, topo, order, W)
+        cost = modeled_tree_cost(np.full(4, 10.0), 1e9, 3, topo, 0, W)
         assert cost == pytest.approx(30.0)
 
     def test_binary_tree_identical_data_beats_flat_at_8(self):
@@ -119,9 +122,8 @@ class TestModeledCost:
         # binary tree's root downlink only receives 2 fragments' worth
         # (50 units over 8 nodes) vs the flat star's 7 (70 units).
         topo = Topology(n_machines=8, nic_bw=1.0, intra_bw=1.0)
-        order = _machine_order(topo, 0)
-        binary = modeled_tree_cost(np.full(8, 10.0), 10.0, 2, topo, order, W)
-        flat = modeled_tree_cost(np.full(8, 10.0), 10.0, 7, topo, order, W)
+        binary = modeled_tree_cost(np.full(8, 10.0), 10.0, 2, topo, 0, W)
+        flat = modeled_tree_cost(np.full(8, 10.0), 10.0, 7, topo, 0, W)
         assert flat == pytest.approx(70.0)
         assert binary == pytest.approx(50.0)
 
@@ -130,10 +132,9 @@ class TestModeledCost:
         # Every fragment holds the same keys and domain == their count, so
         # the union model is exact: both paths price the same tree alike.
         topo = Topology(n_machines=2, frags_per_machine=4, nic_bw=1.0, intra_bw=5.0)
-        order = _machine_order(topo, 5)
         dest = np.array([5])
         sets = [[set(range(10))] for _ in range(8)]
-        sim = simulate_plan(sets, Plan(_tree_phases(order, f)), dest, topo, w=W)
+        sim = simulate_plan(sets, Plan(_tree_phases(5, 8, f)), dest, topo, w=W)
         assert sim.completed(dest)
-        model = modeled_tree_cost(np.full(8, 10.0), 10.0, f, topo, order, W)
+        model = modeled_tree_cost(np.full(8, 10.0), 10.0, f, topo, 5, W)
         assert model == sim.network_seconds

@@ -5,7 +5,6 @@ import pytest
 from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
 from repro.netsim.topology import Topology
-from repro.netsim.truecost import ComputeModel
 
 TOPO = Topology(n_machines=4, nic_bw=1.0, intra_bw=1.0)
 W = 1e6
@@ -63,15 +62,6 @@ class TestCosts:
         sim = simulate_plan(sets, plan, np.array([0]), topo, w=W)
         assert sim.phase_seconds == [pytest.approx(2.0), pytest.approx(1.0)]
         assert sim.network_seconds == pytest.approx(3.0)
-
-    def test_compute_model_passthrough(self):
-        sets = [[set()], [{1, 2}]]
-        plan = plan_of([Transfer(1, 0, 0)])
-        cm = ComputeModel(raw_mbps=1.0, preagg_mbps=1.0)
-        sim = simulate_plan(
-            sets, plan, np.array([0]), TOPO, w=W, compute=cm, preaggregated=True
-        )
-        assert sim.network_seconds == pytest.approx(4.0)  # 2 net + 2 compute
 
 
 class TestCompletion:

@@ -30,15 +30,8 @@ class TestConstruction:
 class TestMachineMapping:
     def test_machine_of(self):
         t = Topology(n_machines=2, frags_per_machine=3)
-        assert [t.machine_of(f) for f in range(6)] == [0, 0, 0, 1, 1, 1]
+        assert [t.machines[f] for f in range(6)] == [0, 0, 0, 1, 1, 1]
         assert t.machines.tolist() == [0, 0, 0, 1, 1, 1]
-
-    def test_machine_of_out_of_range(self):
-        t = Topology(n_machines=2, frags_per_machine=3)
-        with pytest.raises(ValueError):
-            t.machine_of(6)
-        with pytest.raises(ValueError):
-            t.machine_of(-1)
 
     def test_same_machine(self):
         t = Topology(n_machines=2, frags_per_machine=2)

@@ -94,7 +94,7 @@ class TestReviewsAvg:
 
 class TestComputeModelCorrectness:
     def test_compute_model_does_not_change_results(self, modis):
-        from repro.netsim.truecost import ComputeModel
+        from repro.engine.executor import ComputeModel
 
         _, res = run_algorithm(
             modis,
