@@ -13,14 +13,39 @@ with ``COST(s->t) = |X^l(s)| * w / B(s->t)`` (Eq. 5) and
 ``E_i = ESTCARD(s,t,l) * w / B(s->t)`` the anticipated cost of shipping
 the union in the next phase. The case order follows DESIGN.md: the
 final destination may receive even when empty (Section 2.1 constraint).
+:func:`eq8` prices any grid of ``(l, s, t)`` entries; :func:`cost_matrix`
+applies it to the full grid.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.minhash.estimate import CoordinatorState, all_pairs_union_card
+from repro.minhash.estimate import CoordinatorState, est_card
 
 MB = 1e6
+
+
+def eq8(
+    state: CoordinatorState, bandwidth: np.ndarray, dest: np.ndarray, w: float, l, s, t
+) -> np.ndarray:
+    """``C_i[l, s, t]`` elementwise for broadcast index arrays ``l, s, t``.
+
+    ``bandwidth`` must already be validated (:func:`cost_matrix` checks
+    it); its diagonal is never read. The union estimates come from the
+    state's cached slot-agreement counts (:func:`est_card`), so pricing
+    an entry compares no signatures.
+    """
+    inv_bw = 1.0 / (np.where(s == t, np.inf, bandwidth[s, t]) * MB)  # 0 on the diagonal
+    cs, ct = state.card[s, l], state.card[t, l]
+    cost = cs * w * inv_bw  # COST(s->t), Eq. 5
+    c = est_card(state, s, t, l) * w * inv_bw + cost  # + E_i(s, t, l)
+    to_dest = t == dest[l]
+    # t == M(l): pay only the transfer, never re-shipped.
+    c = np.where(to_dest, cost, c)
+    # Empty or destination senders never send; no self transfers; empty
+    # receivers are useless targets — except the destination.
+    blocked = (s == t) | (s == dest[l]) | (cs <= 0) | ((ct <= 0) & ~to_dest)
+    return np.where(blocked, np.inf, c)
 
 
 def cost_matrix(
@@ -35,40 +60,15 @@ def cost_matrix(
     every off-diagonal entry must be finite and positive (the diagonal
     is never used). ``dest`` maps each partition to its final
     destination fragment (``M`` of Section 2.2); ``w`` is the tuple
-    width in bytes.
-
-    All L partitions are priced in one broadcast. The union estimates
-    come from the state's cached slot-agreement counts
-    (:func:`repro.minhash.estimate.all_pairs_union_card`), so building
-    ``C_i`` compares no signatures.
+    width in bytes. All L partitions are priced in one broadcast.
     """
     n, m = state.n_frags, state.n_parts
     if bandwidth.shape != (n, n):
         raise ValueError(f"bandwidth shape {bandwidth.shape} != ({n}, {n})")
     if dest.shape != (m,):
         raise ValueError(f"dest shape {dest.shape} != ({m},)")
-    eye = np.eye(n, dtype=bool)
-    off_diag = bandwidth[~eye]
+    off_diag = bandwidth[~np.eye(n, dtype=bool)]
     if not np.all(np.isfinite(off_diag) & (off_diag > 0)):
         raise ValueError("off-diagonal bandwidth entries must be finite and positive")
-
-    inv_bw = 1.0 / (np.where(eye, np.inf, bandwidth) * MB)  # 0 on the diagonal
-    card = np.ascontiguousarray(state.card.T)  # (L, N)
-    cost = card[:, :, None] * w * inv_bw  # COST(s->t), Eq. 5
-    c = all_pairs_union_card(state)
-    c *= w
-    c *= inv_bw  # E_i(s, t, l)
-    c += cost
-    parts = np.arange(m)
-    # t == M(l): pay only the transfer, never re-shipped.
-    c[parts, :, dest] = cost[parts, :, dest]
-    # Empty receivers are useless targets — except the destination.
-    empty = card <= 0
-    recv_block = empty.copy()
-    recv_block[parts, dest] = False
-    c.transpose(0, 2, 1)[recv_block] = np.inf
-    # Empty or destination senders never send; no self transfers.
-    empty[parts, dest] = True
-    c[empty] = np.inf
-    c[:, eye] = np.inf
-    return c
+    nodes = np.arange(n)
+    return eq8(state, bandwidth, dest, w, np.arange(m)[:, None, None], nodes[:, None], nodes)

@@ -11,22 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost_model import cost_matrix
+from repro.core.cost_model import cost_matrix, eq8
 from repro.core.plan import Phase, Plan, Transfer
 from repro.minhash.estimate import CoordinatorState, update
 
 
-def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
-    """Algorithm 2: greedily pick transfers for one phase.
+def select_phase(c: np.ndarray) -> Phase:
+    """Algorithm 2: greedily pick transfers for one phase from ``C_i``.
 
     Repeatedly takes the globally cheapest viable ``(s -> t, l)`` entry
     of ``C_i`` (ties: first in C order of ``(l, s, t)``), then removes
     ``s`` from the sender candidates, ``t`` from the receiver candidates,
     and both from partition ``l``'s candidates — enforcing one send and
     one receive per node per phase, and no same-partition send+receive.
-    Each pick immediately applies ``UPDATE(s, t, l)`` to the coordinator
-    ``state`` (the estimated post-transfer sizes feed the next phase's
-    ``C``).
 
     ``C_i`` does not change within a phase and candidates only ever
     leave the candidate sets, so the greedy sequence is a forward scan
@@ -37,7 +34,8 @@ def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
     and including it, so ties stay in one band). Each pick keeps only the
     band's still-valid entries and takes the first; the band ends when
     none is valid, and entries that are already invalid are dropped
-    before the next, wider band is cut.
+    before the next, wider band is cut. The picks' UPDATEs are applied
+    by the caller (:func:`plan_aggregation`), once per phase.
     """
     m, n, _ = c.shape
     send_ok = np.ones(n, dtype=bool)
@@ -67,7 +65,6 @@ def select_phase(c: np.ndarray, state: CoordinatorState) -> Phase:
             recv_ok[t] = False
             part_ok[l, s] = False
             part_ok[l, t] = False
-            update(state, s, t, l)
         # Entries that are invalid now stay invalid: drop them before
         # cutting the next band.
         ok = part_ok[:, :, None] & part_ok[:, None, :] & send_ok[:, None] & recv_ok
@@ -98,19 +95,28 @@ def plan_aggregation(
     the single-partition case ``dest = [v*]``. Every phase empties at
     least one (fragment, partition), so more than N·L + 1 phases means
     the planner is making no progress and raises ``RuntimeError``.
+    ``C`` is built once; after each phase's batched UPDATE only rows and
+    columns ``v`` of ``C[l]`` for the touched (l, v) are repriced, which
+    is all of Eq. 8 that a transfer changes.
     """
     dest = np.asarray(dest, dtype=np.int64)
     limit = state.n_frags * state.n_parts + 1
+    nodes = np.arange(state.n_frags)
     plan = Plan(algorithm="grasp")
+    c = cost_matrix(state, bandwidth, dest, w)
     while not aggregation_done(state, dest):
         if len(plan.phases) >= limit:
             raise RuntimeError(
                 f"planner exceeded {limit} phases — no progress being made"
             )
-        c = cost_matrix(state, bandwidth, dest, w)
-        phase = select_phase(c, state)
+        phase = select_phase(c)
         if not phase.transfers:
             raise RuntimeError("no viable transfer found but aggregation incomplete")
         plan.phases.append(phase)
+        s, t, l = np.array([(x.src, x.dst, x.part) for x in phase], dtype=np.intp).T
+        update(state, s, t, l)
+        ls, vs = np.concatenate([l, l])[:, None], np.concatenate([s, t])[:, None]
+        c[ls, vs, nodes] = eq8(state, bandwidth, dest, w, ls, vs, nodes)
+        c[ls, nodes, vs] = eq8(state, bandwidth, dest, w, ls, nodes, vs)
     plan.validate()
     return plan

@@ -1,6 +1,7 @@
 """Algorithm 1 of the paper: ESTCARD and UPDATE over the coordinator's
-``Card`` and ``MinH`` arrays, plus the all-pairs variant used to build
-the Eq. 8 cost matrix.
+``Card`` and ``MinH`` arrays, both elementwise over index arrays, so the
+Eq. 8 cost matrix reads ESTCARD for any grid of (s, t, l) and one call
+applies a whole phase's UPDATEs.
 
 ``Card`` has shape (N, L) — estimated distinct-key count of partition
 ``l`` on fragment ``v``. ``MinH`` has shape (N, L, n) — the minhash
@@ -95,52 +96,47 @@ class CoordinatorState:
         return cls(card, minh)
 
 
-def _union_card(cs, ct, agree, n: int):
-    """``(|S| + |T|) / (1 + J)`` clamped to ``[max(|S|,|T|), |S|+|T|]``,
-    elementwise, with ``J = agree / n``. ``agree / n`` equals
-    ``np.mean`` of the slot-equality vector bit for bit: the mean sums
-    ones in float64, which is exact, then divides by ``n``."""
-    total = cs + ct
-    return np.clip(total / (1.0 + agree / n), np.maximum(cs, ct), total)
-
-
-def est_card(state: CoordinatorState, s: int, t: int, l: int) -> float:
-    """ESTCARD(s, t, l): estimated ``|X^l(s) ∪ X^l(t)|``.
+def est_card(state: CoordinatorState, s, t, l):
+    """ESTCARD(s, t, l): estimated ``|X^l(s) ∪ X^l(t)|``, elementwise over
+    broadcast index arrays (or scalars).
 
     Paper formula ``(|S| + |T|) / (1 + J)`` with the estimate clamped to
     the always-valid set bounds ``[max(|S|,|T|), |S|+|T|]`` (deviation
     noted in DESIGN.md — clamping can only improve the estimator). ``J``
-    is read from the state's agreement cache.
+    is ``agree / n`` from the state's agreement cache, which equals
+    ``np.mean`` of the slot-equality vector bit for bit: the mean sums
+    ones in float64, which is exact, then divides by ``n``.
     """
-    return float(
-        _union_card(state.card[s, l], state.card[t, l], state.agree[l, s, t], state.n_slots)
+    cs, ct = state.card[s, l], state.card[t, l]
+    total = cs + ct
+    return np.clip(
+        total / (1.0 + state.agree[l, s, t] / state.n_slots), np.maximum(cs, ct), total
     )
 
 
-def update(state: CoordinatorState, s: int, t: int, l: int) -> None:
-    """UPDATE(s, t, l): apply the planned ``s -> t`` transfer of partition
-    ``l`` to the coordinator arrays — ``t`` now holds the estimated
-    union (signature = pairwise min), ``s`` is emptied.
+def update(state: CoordinatorState, s, t, l) -> None:
+    """UPDATE(s, t, l): apply the planned ``s -> t`` transfers of
+    partitions ``l`` to the coordinator arrays — each ``t`` now holds the
+    estimated union (signature = pairwise min), each ``s`` is emptied.
 
-    Only ``minh[s, l]`` and ``minh[t, l]`` change, so only rows and
-    columns ``s`` and ``t`` of ``agree[l]`` are recounted (2·N·n slot
-    comparisons). This is the only supported mutator of the state.
+    ``s``, ``t`` and ``l`` are scalars or equal-length arrays, one entry
+    per transfer. Algorithm 2 uses each (partition, node) at most once
+    per phase, so one phase's transfers touch disjoint (l, node) pairs;
+    every ESTCARD then reads state that no other transfer of the batch
+    changes, and one vectorised pass equals applying them one at a time.
+    A repeated (l, node) pair raises ``ValueError``. Only the touched
+    rows and columns of ``agree`` are recounted (N·n slot comparisons
+    per touched pair). This is the only supported mutator of the state.
     """
+    s, t, l = (np.atleast_1d(np.asarray(x, dtype=np.intp)) for x in (s, t, l))
+    ls, vs = np.concatenate([l, l]), np.concatenate([s, t])
+    if np.unique(ls * state.n_frags + vs).size != vs.size:
+        raise ValueError("a batch of UPDATEs must touch each (partition, node) once")
     state.card[t, l] = est_card(state, s, t, l)
     state.card[s, l] = 0.0
-    sig = state.minh[:, l, :]
-    np.minimum(sig[t], sig[s], out=sig[t])
-    sig[s] = EMPTY_SLOT
-    rows = np.sum(sig[[s, t], None, :] == sig[None, :, :], axis=2)  # (2, N)
-    agree = state.agree[l]
-    agree[[s, t], :] = rows
-    agree[:, [s, t]] = rows.T
-
-
-def all_pairs_union_card(state: CoordinatorState) -> np.ndarray:
-    """Vectorised ESTCARD for every (l, s, t): an (L, N, N) array
-    ``U[l, s, t] ≈ |X^l(s) ∪ X^l(t)|`` with the same clamping as
-    :func:`est_card`. Used by the Eq. 8 cost-matrix builder.
-    """
-    c = np.ascontiguousarray(state.card.T)  # (L, N)
-    return _union_card(c[:, :, None], c[:, None, :], state.agree, state.n_slots)
+    state.minh[t, l] = np.minimum(state.minh[t, l], state.minh[s, l])
+    state.minh[s, l] = EMPTY_SLOT
+    rows = np.sum(state.minh[:, ls] == state.minh[vs, ls], axis=2).T  # (touched, N)
+    nodes = np.arange(state.n_frags)
+    state.agree[ls[:, None], vs[:, None], nodes] = rows
+    state.agree[ls[:, None], nodes, vs[:, None]] = rows

@@ -12,6 +12,7 @@ keys, so the numpy :func:`signature` equals Spark's bit for bit on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +37,14 @@ class HashFamily:
         if self.n < 1:
             raise ValueError("need at least one hash function")
 
-    @property
+    @cached_property
     def params(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (a, b) coefficient arrays, each of length ``n``."""
+        """The (a, b) coefficient arrays, each of length ``n``; drawn once
+        per family and read-only."""
         g = np.random.default_rng(self.seed)
         a = g.integers(1, MERSENNE_P, self.n, dtype=np.int64)
         b = g.integers(0, MERSENNE_P, self.n, dtype=np.int64)
+        a.flags.writeable = b.flags.writeable = False
         return a, b
 
 

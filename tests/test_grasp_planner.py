@@ -65,7 +65,7 @@ class TestSelectPhase:
     def test_one_send_one_receive(self):
         st_ = state_from([[set()], [{1}], [{2}], [{3}], [{4}], [{5}]])
         c = cost_matrix(st_, np.ones((6, 6)), np.array([0]), w=W)
-        phase = select_phase(c, st_)
+        phase = select_phase(c)
         phase.validate()
         # 6 nodes -> at most 3 disjoint transfers, and the destination
         # plus two merge pairs is exactly 3.
@@ -74,7 +74,7 @@ class TestSelectPhase:
     def test_empty_state_empty_phase(self):
         st_ = state_from([[set()], [set()]])
         c = cost_matrix(st_, np.ones((2, 2)), np.array([0]), w=W)
-        phase = select_phase(c, st_)
+        phase = select_phase(c)
         assert len(phase) == 0
 
     def test_all_to_all_send_and_receive_different_partitions(self):
@@ -84,7 +84,7 @@ class TestSelectPhase:
         st_ = state_from(sets, n_parts=2)
         dest = np.array([0, 1])
         c = cost_matrix(st_, np.ones((2, 2)), dest, w=W)
-        phase = select_phase(c, st_)
+        phase = select_phase(c)
         phase.validate()
         pairs = {(t.src, t.dst, t.part) for t in phase}
         assert pairs == {(1, 0, 0), (0, 1, 1)}

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minhash.estimate import (
-    CoordinatorState,
-    all_pairs_union_card,
-    est_card,
-    update,
-)
+from repro.minhash.estimate import CoordinatorState, est_card, update
 from repro.minhash.hashing import EMPTY_SLOT, HashFamily
 from tests import reference_planner as ref
 
@@ -134,12 +129,18 @@ class TestUpdate:
         assert st_.card[2, 0] >= 1
 
 
+def all_pairs(state, l=0):
+    """ESTCARD over partition ``l``'s full (s, t) grid."""
+    nodes = np.arange(state.n_frags)
+    return est_card(state, nodes[:, None], nodes, l)
+
+
 class TestAllPairs:
     def test_matches_scalar_estcard(self):
         st_ = make_state(
             [list(range(0, 30))], [list(range(10, 50))], [list(range(100, 130))]
         )
-        u = all_pairs_union_card(st_)[0]
+        u = all_pairs(st_)
         for s in range(3):
             for t in range(3):
                 if s != t:
@@ -147,7 +148,7 @@ class TestAllPairs:
 
     def test_diagonal_is_self_union(self):
         st_ = make_state([[1, 2, 3]], [[4, 5]])
-        u = all_pairs_union_card(st_)[0]
+        u = all_pairs(st_)
         assert u[0, 0] == pytest.approx(3.0)
         assert u[1, 1] == pytest.approx(2.0)
 
@@ -185,9 +186,8 @@ def assert_cache_exact(state):
     """The agreement cache equals a full recount, and every estimate read
     from it equals the ``np.mean`` formula bit for bit."""
     np.testing.assert_array_equal(state.agree, CoordinatorState(state.card, state.minh).agree)
-    union = all_pairs_union_card(state)
     for l in range(state.n_parts):
-        assert np.array_equal(union[l], ref.all_pairs_union_card(state.card, state.minh, l))
+        assert np.array_equal(all_pairs(state, l), ref.all_pairs_union_card(state.card, state.minh, l))
         for s in range(state.n_frags):
             for t in range(state.n_frags):
                 assert est_card(state, s, t, l) == ref.est_card(state.card, state.minh, s, t, l)
@@ -215,3 +215,55 @@ class TestAgreementCache:
         # Shared arrays or a shared cache would leave one of them stale.
         assert_cache_exact(state)
         assert_cache_exact(clone)
+
+
+@st.composite
+def state_and_phase(draw):
+    """A small tie-heavy state and one phase of picks that touch disjoint
+    (l, node) pairs, as Algorithm 2 makes them."""
+    state, candidates, _ = draw(state_and_updates())
+    used, picks = set(), []
+    for s, t, l in candidates:
+        if (l, s) not in used and (l, t) not in used:
+            used |= {(l, s), (l, t)}
+            picks.append((s, t, l))
+    return state, picks
+
+
+class TestBatchedUpdate:
+    @given(case=state_and_phase())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_sequential(self, case):
+        state, picks = case
+        batched = state.copy()
+        for s, t, l in picks:
+            update(state, s, t, l)
+        s, t, l = np.array(picks, dtype=np.intp).reshape(-1, 3).T
+        update(batched, s, t, l)
+        assert np.array_equal(batched.card, state.card)
+        assert np.array_equal(batched.minh, state.minh)
+        assert np.array_equal(batched.agree, state.agree)
+        assert_cache_exact(batched)
+
+    @pytest.mark.parametrize(
+        "s, t, l",
+        [
+            ([0, 2], [1, 0], [0, 0]),  # node 0 sends and receives partition 0
+            ([0, 0], [1, 2], [0, 0]),  # node 0 sends partition 0 twice
+            ([0, 2], [1, 1], [0, 0]),  # node 1 receives partition 0 twice
+            (1, 1, 0),  # a self transfer
+        ],
+    )
+    def test_repeated_pair_rejected(self, s, t, l):
+        st_ = make_state([[1]], [[2]], [[3]])
+        before = st_.copy()
+        with pytest.raises(ValueError):
+            update(st_, s, t, l)
+        assert np.array_equal(st_.card, before.card)
+        assert np.array_equal(st_.minh, before.minh)
+
+    def test_other_partition_may_reuse_node(self):
+        st_ = make_state([[1], [4]], [[2], [5]], [[3], [6]], n_parts=2)
+        update(st_, [0, 1], [1, 0], [0, 1])
+        assert st_.card[0, 0] == 0 and st_.card[1, 1] == 0
+        assert_cache_exact(st_)

@@ -15,11 +15,20 @@ from repro.minhash.hashing import (
 
 class TestHashFamily:
     def test_params_deterministic(self):
-        f = HashFamily(n=10, seed=3)
-        a1, b1 = f.params
-        a2, b2 = f.params
+        a1, b1 = HashFamily(n=10, seed=3).params
+        a2, b2 = HashFamily(n=10, seed=3).params
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
+
+    def test_params_drawn_once_read_only(self):
+        f = HashFamily(n=10, seed=3)
+        a, b = f.params
+        assert f.params[0] is a and f.params[1] is b
+        g = np.random.default_rng(3)
+        np.testing.assert_array_equal(a, g.integers(1, MERSENNE_P, 10, dtype=np.int64))
+        np.testing.assert_array_equal(b, g.integers(0, MERSENNE_P, 10, dtype=np.int64))
+        with pytest.raises(ValueError):
+            a[0] = 1
 
     def test_params_ranges(self):
         a, b = HashFamily(n=200, seed=0).params

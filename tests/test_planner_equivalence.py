@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import grasp
+from repro.core.cost_model import cost_matrix
 from repro.engine.state import make_state, preaggregate
 from repro.experiments.harness import run_algorithm
 from repro.experiments.tables import FAMILY
@@ -102,6 +103,37 @@ class TestPlanEquality:
         plan = assert_same_plan(state.card, state.minh, bandwidth, np.arange(m), 16.0)
         assert len(plan) > 1
         assert max(bands) > 1
+
+    @given(inst=tie_heavy_instance())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_cost_matrix_equals_fresh_build(self, inst):
+        # The planner builds C once and reprices only the rows and
+        # columns each phase touched; before every phase and after the
+        # last one it must equal a fresh Eq. 8 build, bit for bit.
+        card, minh, bandwidth, dest, w = inst
+        state = CoordinatorState(card, minh)
+        kept = []
+
+        def assert_fresh():
+            assert kept[0].tobytes() == cost_matrix(state, bandwidth, dest, w).tobytes()
+
+        def keeping_build(*args):
+            kept.append(cost_matrix(*args))
+            return kept[0]
+
+        def checking_select(c):
+            assert c is kept[0]
+            assert_fresh()
+            return select_phase(c)
+
+        build, select_phase = grasp.cost_matrix, grasp.select_phase
+        grasp.cost_matrix, grasp.select_phase = keeping_build, checking_select
+        try:
+            grasp.plan_aggregation(state, bandwidth, dest, w=w)
+        finally:
+            grasp.cost_matrix, grasp.select_phase = build, select_phase
+        assert len(kept) == 1
+        assert_fresh()
 
 
 def test_empty_phase_matches_reference():
