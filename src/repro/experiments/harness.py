@@ -112,7 +112,7 @@ def run_algorithm(
                 )
                 domain = st.df.select("key").distinct().count()
                 plan = loom_plan(
-                    leaf_cards, float(domain), dest_frag, topo, w=workload.tuple_bytes
+                    leaf_cards, float(domain), int(st.dest[0]), topo, w=workload.tuple_bytes
                 )
                 fanin = loom_fanin(plan)
             else:  # grasp

@@ -3,9 +3,10 @@
 Every fragment's local, pre-aggregated data is summarised as a distinct
 count (``Card``) and an ``n``-slot minhash signature per partition —
 computed *in Spark* as one ``groupBy(frag, part)`` with ``n`` ``min()``
-aggregate expressions plus a ``count``. Only the (N × L × n) signature
-arrays are collected to the driver (about 1 KB per fragment-partition,
-as in the paper); the data itself never leaves the executors.
+aggregates, written as one SQL array expression, plus a ``count``. Only
+the (N × L × n) signature arrays are collected to the driver (about
+1 KB per fragment-partition, as in the paper), in one Arrow read; the
+data itself never leaves the executors.
 """
 from __future__ import annotations
 
@@ -35,24 +36,22 @@ def compute_signatures(
     ``CoordinatorState.from_key_sets`` bit for bit.
 
     Missing (frag, part) combinations yield Card 0 and the empty-set
-    signature.
+    signature; a null or out-of-range ``frag``/``part`` raises ``ValueError``.
     """
     a, b = family.params
-    x = F.pmod(F.xxhash64(F.col("key")), F.lit(MERSENNE_P))
-    aggs = [F.count(F.lit(1)).alias("card")] + [
-        F.min((x * F.lit(int(a[j])) + F.lit(int(b[j]))) % F.lit(MERSENNE_P)).alias(
-            f"h{j}"
-        )
-        for j in range(family.n)
-    ]
-    rows = df.groupBy("frag", "part").agg(*aggs).collect()
+    x = f"pmod(xxhash64(`key`), {MERSENNE_P})"
+    slots = ", ".join(f"min(({x} * {aj} + {bj}) % {MERSENNE_P})" for aj, bj in zip(a, b))
+    aggs = F.expr("count(1) AS card"), F.expr(f"array({slots}) AS minh")
+    pdf = df.groupBy("frag", "part").agg(*aggs).toPandas()
 
+    v, l = pdf["frag"].to_numpy(np.float64), pdf["part"].to_numpy(np.float64)
+    bad = ~((0 <= v) & (v < n_frags) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"fragment/partition ({v[i]:g}, {l[i]:g}) out of declared range")
     card = np.zeros((n_frags, n_parts), dtype=np.float64)
     minh = np.full((n_frags, n_parts, family.n), EMPTY_SLOT, dtype=np.int64)
-    for r in rows:
-        v, l = int(r["frag"]), int(r["part"])
-        if not (0 <= v < n_frags and 0 <= l < n_parts):
-            raise ValueError(f"fragment/partition ({v}, {l}) out of declared range")
-        card[v, l] = float(r["card"])
-        minh[v, l] = [r[f"h{j}"] for j in range(family.n)]
+    v, l = v.astype(np.int64), l.astype(np.int64)
+    card[v, l] = pdf["card"].to_numpy(np.float64)
+    minh[v, l] = np.array(pdf["minh"].tolist(), dtype=np.int64).reshape(len(pdf), family.n)
     return CoordinatorState(card, minh)

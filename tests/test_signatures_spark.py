@@ -66,12 +66,14 @@ class TestSparkSignatures:
                 assert got.card[v, l] == n
 
     def test_missing_cell_is_empty(self, spark):
-        pdf = pd.DataFrame({"frag": [0], "part": [0], "key": [5]})
-        got = compute_signatures(
-            spark.createDataFrame(pdf), FAM, n_frags=2, n_parts=1
-        )
-        assert got.card[1, 0] == 0
-        assert np.all(got.minh[1, 0] == EMPTY_SLOT)
+        # One row, then no rows at all: every missing cell is Card 0, EMPTY_SLOT.
+        for rows in ([(0, 0, 5)], []):
+            df = spark.createDataFrame(rows, "frag long, part long, key long")
+            got = compute_signatures(df, FAM, n_frags=2, n_parts=1)
+            assert got.card[1, 0] == 0
+            assert np.all(got.minh[1, 0] == EMPTY_SLOT)
+        assert np.all(got.card == 0)
+        assert np.all(got.minh == EMPTY_SLOT)
 
     def test_spread_mode_differs_but_similarity_holds(self, spark):
         keys = np.arange(0, 400, dtype=np.int64)
@@ -89,8 +91,38 @@ class TestSparkSignatures:
         assert abs(j - 1 / 3) < 0.2
 
     def test_out_of_range_frag_rejected(self, spark):
-        pdf = pd.DataFrame({"frag": [7], "part": [0], "key": [1]})
-        with pytest.raises(ValueError, match="out of declared range"):
-            compute_signatures(
-                spark.createDataFrame(pdf), FAM, n_frags=2, n_parts=1
-            )
+        # Negative and null indices must raise, not wrap around or fail later.
+        for frag, part in ((7, 0), (-1, 0), (None, 0), (0, 1), (0, None)):
+            df = spark.createDataFrame([(frag, part, 1)], "frag long, part long, key long")
+            with pytest.raises(ValueError, match="out of declared range"):
+                compute_signatures(df, FAM, n_frags=2, n_parts=1)
+
+    @pytest.mark.parametrize(
+        "ddl, keys",
+        [
+            ("double", [0.5, -0.0, 0.0, 1e300, float("inf"), float("nan"), -3.25]),
+            ("string", ["a", "", "\u00fcn\u00efc\u00f8de", "a longer string key", "b"]),
+            ("long", [None, 1, -(2**40), 7, 2**62]),
+        ],
+        ids=["double", "string", "null"],
+    )
+    def test_non_long_keys_match_spark_hash(self, spark, ddl, keys):
+        # Reference: min((x*a + b) mod p) in numpy over Spark's own
+        # x = pmod(xxhash64(key), p). Cell (2, 1) stays empty.
+        rows = [(v, l, k) for v in range(3) for l in range(2) for k in keys[v + l :]]
+        df = spark.createDataFrame(
+            [r for r in rows if (r[0], r[1]) != (2, 1)], f"frag int, part int, key {ddl}"
+        )
+        got = compute_signatures(df, FAM, n_frags=3, n_parts=2)
+        pdf = df.select(
+            "frag", "part", F.pmod(F.xxhash64("key"), F.lit(MERSENNE_P)).alias("x")
+        ).toPandas()
+        a, b = FAM.params
+        card = np.zeros((3, 2))
+        minh = np.full((3, 2, FAM.n), EMPTY_SLOT, dtype=np.int64)
+        for (v, l), g in pdf.groupby(["frag", "part"]):
+            card[v, l] = len(g)
+            minh[v, l] = ((g["x"].to_numpy()[:, None] * a + b) % MERSENNE_P).min(axis=0)
+        assert card[2, 1] == 0
+        assert got.card.tobytes() == card.tobytes()
+        assert got.minh.tobytes() == minh.tobytes()
