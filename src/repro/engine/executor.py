@@ -24,23 +24,11 @@ from repro.netsim.topology import Topology
 from repro.netsim.truecost import PlanCost, plan_cost
 
 
-@dataclass(frozen=True)
-class ComputeModel:
-    """Receiver-side aggregation throughput (MB/s) of raw and of
-    pre-aggregated input (Section 5.3.5)."""
-
-    raw_mbps: float = 309.0
-    preagg_mbps: float = 811.0
-
-    def throughput(self, preaggregated: bool) -> float:
-        return self.preagg_mbps if preaggregated else self.raw_mbps
-
-
 @dataclass
 class ExecutionResult(PlanCost):
     """Outcome of executing one plan: its simulated cost (Eq. 3, Table 2;
-    ``network_seconds`` includes receiver compute when a
-    :class:`ComputeModel` is given) and the finalized result."""
+    ``network_seconds`` includes receiver compute when ``recv_mbps`` is
+    given) and the finalized result."""
 
     final_df: DataFrame
     plan: Plan
@@ -102,10 +90,11 @@ def execute_plan(
     plan: Plan,
     topo: Topology,
     *,
-    compute: ComputeModel | None = None,
+    recv_mbps: float | None = None,
 ) -> ExecutionResult:
     """Run ``plan`` over ``state``; return the finalized result and the
-    simulated cost accounting.
+    simulated cost accounting, receivers aggregating at ``recv_mbps``
+    MB/s when it is given (Section 5.3.5).
 
     Raises ``ValueError`` for a row outside the state's fragments or
     partitions, and ``RuntimeError`` if, after the last phase, any tuple
@@ -131,6 +120,5 @@ def execute_plan(
         [counts.get((i, t.src, t.part), 0) for t in phase]
         for i, phase in enumerate(plan)
     ]
-    recv_mbps = None if compute is None else compute.throughput(state.preaggregated)
     cost = plan_cost(plan, shipped, state.dest, topo, state.tuple_bytes, recv_mbps)
     return ExecutionResult(**vars(cost), final_df=finalize(state), plan=plan)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from pyspark.errors import AnalysisException
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -33,18 +34,10 @@ class DistState:
     n_frags: int
     dest: np.ndarray
     tuple_bytes: float = 16.0
-    preaggregated: bool = False
 
     @property
     def n_parts(self) -> int:
         return len(self.dest)
-
-    def with_df(self, df: DataFrame, *, preaggregated: bool | None = None) -> "DistState":
-        return replace(
-            self,
-            df=df,
-            preaggregated=self.preaggregated if preaggregated is None else preaggregated,
-        )
 
 
 def make_state(
@@ -67,7 +60,19 @@ def make_state(
     ``l mod n_frags`` — the paper's balanced mapping. A custom
     ``partitioner`` column models skewed repartition functions
     (Section 5.2.3).
+
+    Raises ``ValueError`` for fewer than one fragment or partition, and
+    for a key column that ``xxhash64`` cannot hash (a map, for one): the
+    signature job and the default partitioner hash the key.
     """
+    if n_frags < 1 or (n_parts is not None and n_parts < 1):
+        raise ValueError(f"need n_frags >= 1 and n_parts >= 1, got {n_frags}, {n_parts}")
+    try:
+        df.select(F.xxhash64(F.col(spec.key)))  # analysis only, no job
+    except AnalysisException as e:
+        raise ValueError(
+            f"key column {spec.key!r} cannot be hashed: {e.getCondition()}"
+        ) from e
     key = F.col(spec.key).alias("key")
     if mode == "all_to_one":
         if not 0 <= dest_frag < n_frags:
@@ -97,23 +102,16 @@ def make_state(
         n_frags=n_frags,
         dest=dest,
         tuple_bytes=tuple_bytes,
-        preaggregated=False,
-    )
-
-
-def merge_partials(df: DataFrame, spec: AggSpec) -> DataFrame:
-    """Combine rows with equal (frag, part, key) — local aggregation."""
-    return df.groupBy("frag", "part", "key").agg(
-        *[p.merge_col() for p in spec.partials]
     )
 
 
 def preaggregate(state: DistState) -> DistState:
     """Step-2 local pre-aggregation: one aggregated row per key per
-    fragment. Idempotent."""
-    if state.preaggregated:
-        return state
-    return state.with_df(merge_partials(state.df, state.spec), preaggregated=True)
+    fragment, merging rows with equal (frag, part, key)."""
+    merged = state.df.groupBy("frag", "part", "key").agg(
+        *[p.merge_col() for p in state.spec.partials]
+    )
+    return replace(state, df=merged)
 
 
 def finalize(state: DistState) -> DataFrame:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.baselines.loom import loom_fanin, loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
-from repro.engine.executor import ComputeModel, ExecutionResult, execute_plan
+from repro.engine.executor import ExecutionResult, execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
@@ -25,6 +25,11 @@ from repro.netsim.topology import Topology
 from repro.workloads.base import Workload
 
 ALGORITHMS = ("repart", "preagg_repart", "loom", "grasp")
+#: Hash family shared by all experiments — n=100 like the paper.
+FAMILY = HashFamily(n=100, seed=7)
+#: Receiver aggregation throughput (MB/s) of raw and of pre-aggregated
+#: input, measured on the paper's EC2 cluster (Section 5.3.5).
+RAW_MBPS, PREAGG_MBPS = 309.0, 811.0
 
 
 @dataclass
@@ -63,8 +68,8 @@ def run_algorithm(
     mode: str = "all_to_one",
     dest_frag: int = 0,
     b_est: np.ndarray | None = None,
-    family: HashFamily | None = None,
-    compute: ComputeModel | None = None,
+    family: HashFamily = FAMILY,
+    compute_bound: bool = False,
     bench_seed: int = 0,
     keep_result: bool = False,
 ) -> tuple[ResultRow, ExecutionResult | None]:
@@ -72,6 +77,9 @@ def run_algorithm(
 
     ``b_est`` overrides GRASP's estimated bandwidth matrix (robustness
     experiments); by default it is the simulated startup benchmark.
+    ``compute_bound`` adds receiver aggregation time to the cost at
+    :data:`RAW_MBPS` for Repart, which alone ships raw tuples, and at
+    :data:`PREAGG_MBPS` for the others.
     ``keep_result`` returns the full :class:`ExecutionResult` (tests use
     it for the oracle check); otherwise the final DataFrame is dropped.
     """
@@ -90,14 +98,15 @@ def run_algorithm(
         tuple_bytes=workload.tuple_bytes,
         partitioner=workload.partitioner,
     )
+    raw = algorithm == "repart"
+    st = state0 if raw else preaggregate(state0)
+    recv_mbps = (RAW_MBPS if raw else PREAGG_MBPS) if compute_bound else None
     fanin = 0
     planning_seconds = schedule_seconds = 0.0
     if algorithm in ("repart", "preagg_repart"):
-        st = state0 if algorithm == "repart" else preaggregate(state0)
         plan = repartition_plan(st.n_frags, st.dest, algorithm=algorithm)
-        result = execute_plan(st, plan, topo, compute=compute)
+        result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
     else:
-        st = preaggregate(state0)
         st.df.persist()
         try:
             if algorithm == "loom":
@@ -119,14 +128,13 @@ def run_algorithm(
                 b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)
                 t0 = time.perf_counter()
                 coord = compute_signatures(
-                    st.df, family or HashFamily(n=100, seed=7),
-                    n_frags=st.n_frags, n_parts=st.n_parts,
+                    st.df, family, n_frags=st.n_frags, n_parts=st.n_parts
                 )
                 t1 = time.perf_counter()
                 plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
                 schedule_seconds = time.perf_counter() - t1
             planning_seconds = time.perf_counter() - t0
-            result = execute_plan(st, plan, topo, compute=compute)
+            result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
         finally:
             st.df.unpersist()
     row = ResultRow(

@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.engine.executor import ComputeModel
 from repro.experiments.harness import ALGORITHMS, add_speedups, run_algorithm
-from repro.minhash.hashing import HashFamily
+from repro.experiments.harness import FAMILY  # noqa: F401 -- the tables' hash family
 from repro.netsim.bandwidth import (
     benchmark_matrix,
     estimation_report,
@@ -36,9 +35,6 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.tpch import q18_workload
 
-#: Hash family shared by all experiments — n=100 like the paper.
-FAMILY = HashFamily(n=100, seed=7)
-
 
 def _compare(wl, topo, algos, tag, *, base=(), **run) -> list[dict]:
     """Run ``algos`` on ``wl`` and return their rows with ``tag``'s
@@ -46,7 +42,7 @@ def _compare(wl, topo, algos, tag, *, base=(), **run) -> list[dict]:
     ``base``, or of these rows when ``base`` is empty. ``run`` is passed
     on to ``run_algorithm``."""
     rows = [
-        {**run_algorithm(wl, algo, topo, family=FAMILY, **run)[0].as_dict(), **tag}
+        {**run_algorithm(wl, algo, topo, **run)[0].as_dict(), **tag}
         for algo in algos
     ]
     ref = next(r for r in (base or rows) if r["algorithm"] == "preagg_repart")
@@ -173,9 +169,7 @@ def t5_estimation_robustness(
     rows: list[dict] = []
     base = None
     for name, level, b in settings:
-        r, _ = run_algorithm(
-            wl, "grasp", topo, mode="all_to_one", b_est=b, family=FAMILY
-        )
+        r, _ = run_algorithm(wl, "grasp", topo, mode="all_to_one", b_est=b)
         if name == "topology":
             base = r.network_seconds
         rows.append({**r.as_dict(), "setting": name, "underestimation": level})
@@ -290,11 +284,10 @@ def t9_ec2(
         nic_bw=1250.0,
         intra_bw=2500.0,
     )
-    compute = ComputeModel(raw_mbps=309.0, preagg_mbps=811.0)
     wl = modis_workload(
         spark,
         n_frags=topo.n_frags,
         n_files=n_files,
         tuples_per_file=tuples_per_file,
     )
-    return _compare(wl, topo, ALGORITHMS, {}, compute=compute)
+    return _compare(wl, topo, ALGORITHMS, {}, compute_bound=True)

@@ -10,7 +10,7 @@ from repro.core.grasp import plan_aggregation
 from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
 from repro.engine.aggspec import sum_spec
-from repro.engine.executor import ComputeModel, execute_plan
+from repro.engine.executor import execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
@@ -117,7 +117,7 @@ class TestCostAccounting:
         assert res.network_seconds == sim.network_seconds
         st.df.unpersist()
 
-    @pytest.mark.parametrize("raw", [False, True], ids=["preaggregated", "raw_dup_keys"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["preagg", "raw_dup_keys"])
     def test_repart_dest_tuples_equals_remote_rows(self, spark, sim_wl, raw):
         """A raw state ships its raw rows in its first phase, duplicate
         keys included; a pre-aggregated one ships one row per key."""
@@ -137,18 +137,16 @@ class TestCostAccounting:
         assert res.total_tuples_sent == remote
 
     def test_compute_priced_at_state_throughput(self, spark):
-        """The executor picks the receiver throughput from the state: raw
-        input aggregates at ``raw_mbps``, pre-aggregated input at
-        ``preagg_mbps``."""
+        """The executor prices receiver compute at the ``recv_mbps`` it is
+        given, over the raw or the pre-aggregated state's counts."""
         wl = dup_keys_workload(spark, n_frags=N, tuples_per_frag=600, dups=4)
         raw = make_state(wl.df, wl.spec, n_frags=N, mode="all_to_one")
         plan = repartition_plan(N, raw.dest)
-        cm = ComputeModel(raw_mbps=1.0, preagg_mbps=2.0)
         for st, mbps in ((raw, 1.0), (preaggregate(raw), 2.0)):
             per_frag = st.df.groupBy("frag").count().collect()
             rows = {r["frag"]: r["count"] for r in per_frag}
             shipped = [[rows[t.src] for t in phase] for phase in plan]
-            res = execute_plan(st, plan, TOPO, compute=cm)
+            res = execute_plan(st, plan, TOPO, recv_mbps=mbps)
             cost = plan_cost(plan, shipped, st.dest, TOPO, st.tuple_bytes, mbps)
             assert res.network_seconds == cost.network_seconds
 

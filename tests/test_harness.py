@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.experiments import harness
 from repro.experiments.harness import (
     ALGORITHMS,
     add_speedups,
@@ -84,6 +85,30 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError):
             run_algorithm(bad, algo, TOPO, mode="all_to_one", family=FAM)
         assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+
+    @pytest.mark.parametrize(
+        "compute_bound, expected",
+        [
+            (True, {"repart": 309.0, "preagg_repart": 811.0, "loom": 811.0, "grasp": 811.0}),
+            (False, dict.fromkeys(ALGORITHMS)),
+        ],
+        ids=["compute_bound", "network_only"],
+    )
+    def test_receiver_throughput_per_algorithm(
+        self, wl, monkeypatch, compute_bound, expected
+    ):
+        # Only Repart ships raw tuples (Section 5.3.5).
+        seen = {}
+        execute = harness.execute_plan
+
+        def record(st, plan, topo, *, recv_mbps=None):
+            seen[plan.algorithm] = recv_mbps
+            return execute(st, plan, topo, recv_mbps=recv_mbps)
+
+        monkeypatch.setattr(harness, "execute_plan", record)
+        for algo in ALGORITHMS:
+            run_algorithm(wl, algo, TOPO, family=FAM, compute_bound=compute_bound)
+        assert seen == expected
 
 
 class TestHelpers:

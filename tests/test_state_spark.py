@@ -1,4 +1,6 @@
 """Tests for DistState construction, pre-aggregation and finalize."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -62,6 +64,46 @@ class TestMakeState:
         with pytest.raises(ValueError):
             make_state(df, SPEC, n_frags=3, mode="all_to_one", dest_frag=9)
 
+    @pytest.mark.parametrize(
+        "n_frags, n_parts", [(3, 0), (3, -2), (0, None)], ids=["parts0", "parts-2", "frags0"]
+    )
+    def test_impossible_sizes_rejected(self, df, n_frags, n_parts):
+        with pytest.raises(ValueError, match="n_frags >= 1 and n_parts >= 1"):
+            make_state(df, SPEC, n_frags=n_frags, mode="all_to_all", n_parts=n_parts)
+
+
+class TestKeyTypes:
+    """``make_state`` resolves ``xxhash64(key)`` for every mode and
+    partitioner, so a key the signature job or the default partitioner
+    cannot hash fails there, before any Spark job."""
+
+    @pytest.fixture(scope="class")
+    def keyed(self, spark):
+        return spark.sql(
+            "SELECT id % 3 AS frag, id % 2 AS a, id AS b, map(id % 2, 1) AS m,"
+            " named_struct('x', id % 2, 'y', 'u') AS s, array(id % 2, 7) AS arr"
+            " FROM range(6)"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, custom",
+        [("all_to_one", False), ("all_to_all", False), ("all_to_all", True)],
+        ids=["all_to_one", "all_to_all", "custom_partitioner"],
+    )
+    def test_map_key_rejected(self, keyed, mode, custom):
+        part = F.col("a").cast("int") if custom else None
+        with pytest.raises(ValueError, match="key column 'm'"):
+            make_state(
+                keyed, sum_spec("m", "b"), n_frags=3, mode=mode, n_parts=2,
+                partitioner=part,
+            )
+
+    @pytest.mark.parametrize("key", ["s", "arr"])
+    def test_struct_and_array_keys_accepted(self, keyed, key):
+        st = make_state(keyed, sum_spec(key, "b"), n_frags=3, mode="all_to_all")
+        got = {r["part"] for r in st.df.select("part").collect()}
+        assert got <= {0, 1, 2}
+
 
 class TestPreaggregate:
     def test_local_merge(self, df):
@@ -71,12 +113,6 @@ class TestPreaggregate:
         }
         assert rows[(0, 1)] == 30  # 10 + 20 merged locally
         assert rows[(1, 1)] == 5  # not merged across fragments
-        assert st.preaggregated
-
-    def test_idempotent(self, df):
-        st = preaggregate(make_state(df, SPEC, n_frags=3, mode="all_to_one"))
-        again = preaggregate(st)
-        assert again is st
 
     def test_preserves_total(self, df):
         st0 = make_state(df, SPEC, n_frags=3, mode="all_to_one")
@@ -91,6 +127,6 @@ class TestFinalize:
         st = make_state(df, SPEC, n_frags=3, mode="all_to_one")
         # Pretend everything already reached fragment 0.
         moved = st.df.withColumn("frag", F.lit(0))
-        out = finalize(st.with_df(moved))
+        out = finalize(replace(st, df=moved))
         got = {r["a"]: r["sum_b"] for r in out.collect()}
         assert got == {1: 35, 2: 7, 3: 9}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.plan import Phase, Plan, Transfer
-from repro.engine.executor import ComputeModel
 from repro.netsim.topology import Topology
 from repro.netsim.truecost import phase_cost, plan_cost
 
@@ -94,12 +93,7 @@ class TestLinkSharing:
         assert phase_cost(phase, [0.0], UNIFORM4, None) == 0.0
 
 
-class TestComputeModel:
-    def test_throughput_selection(self):
-        cm = ComputeModel(raw_mbps=309.0, preagg_mbps=811.0)
-        assert cm.throughput(False) == 309.0
-        assert cm.throughput(True) == 811.0
-
+class TestReceiverCompute:
     def test_compute_added_to_receive(self):
         phase = Phase([Transfer(1, 0, 0)])
         b = [tuples(4)]

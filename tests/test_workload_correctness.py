@@ -92,17 +92,15 @@ class TestReviewsAvg:
         res.unpersist()
 
 
-class TestComputeModelCorrectness:
-    def test_compute_model_does_not_change_results(self, modis):
-        from repro.engine.executor import ComputeModel
-
+class TestComputeBoundCorrectness:
+    def test_compute_bound_does_not_change_results(self, modis):
         _, res = run_algorithm(
             modis,
             "grasp",
             TOPO,
             mode="all_to_one",
             family=FAM,
-            compute=ComputeModel(),
+            compute_bound=True,
             keep_result=True,
         )
         assert_equivalent(res.final_df, modis.sql, r=modis.df)
