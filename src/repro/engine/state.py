@@ -61,9 +61,11 @@ def make_state(
     ``partitioner`` column models skewed repartition functions
     (Section 5.2.3).
 
-    Raises ``ValueError`` for fewer than one fragment or partition, and
-    for a key column that ``xxhash64`` cannot hash (a map, for one): the
-    signature job and the default partitioner hash the key.
+    Raises ``ValueError`` for fewer than one fragment or partition, for
+    ``n_parts`` or ``partitioner`` given with ``all_to_one`` (which would
+    ignore them), and for a key column that ``xxhash64`` cannot hash (a
+    map, for one): the signature job and the default partitioner hash
+    the key.
     """
     if n_frags < 1 or (n_parts is not None and n_parts < 1):
         raise ValueError(f"need n_frags >= 1 and n_parts >= 1, got {n_frags}, {n_parts}")
@@ -75,6 +77,8 @@ def make_state(
         ) from e
     key = F.col(spec.key).alias("key")
     if mode == "all_to_one":
+        if n_parts is not None or partitioner is not None:
+            raise ValueError("all_to_one has one partition: n_parts and partitioner not allowed")
         if not 0 <= dest_frag < n_frags:
             raise ValueError(f"dest_frag {dest_frag} out of range")
         part = F.lit(0).alias("part")
@@ -107,8 +111,15 @@ def make_state(
 
 def preaggregate(state: DistState) -> DistState:
     """Step-2 local pre-aggregation: one aggregated row per key per
-    fragment, merging rows with equal (frag, part, key)."""
-    merged = state.df.groupBy("frag", "part", "key").agg(
+    fragment, merging rows with equal (frag, part, key).
+
+    The result is hash-partitioned by ``frag`` into one Spark partition
+    per task slot (at most one per fragment), each holding whole
+    fragments: the merge needs no second exchange, and the per-fragment
+    jobs over the persisted state (signatures, LOOM's counts) need none.
+    """
+    k = min(state.n_frags, state.df.sparkSession.sparkContext.defaultParallelism)
+    merged = state.df.repartition(k, "frag").groupBy("frag", "part", "key").agg(
         *[p.merge_col() for p in state.spec.partials]
     )
     return replace(state, df=merged)

@@ -96,7 +96,7 @@ def run_algorithm(
         mode=mode,
         dest_frag=dest_frag,
         tuple_bytes=workload.tuple_bytes,
-        partitioner=workload.partitioner,
+        partitioner=workload.partitioner if mode == "all_to_all" else None,
     )
     raw = algorithm == "repart"
     st = state0 if raw else preaggregate(state0)

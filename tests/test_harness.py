@@ -15,7 +15,11 @@ from repro.experiments.harness import (
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
 from repro.oracle import assert_equivalent
-from repro.workloads.synthetic import dup_keys_workload, similarity_workload
+from repro.workloads.synthetic import (
+    dup_keys_workload,
+    imbalance_workload,
+    similarity_workload,
+)
 
 FAM = HashFamily(n=16, seed=7)
 TOPO = Topology(n_machines=4, frags_per_machine=1, nic_bw=118.0)
@@ -109,6 +113,22 @@ class TestRunAlgorithm:
         for algo in ALGORITHMS:
             run_algorithm(wl, algo, TOPO, family=FAM, compute_bound=compute_bound)
         assert seen == expected
+
+    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
+    def test_partitioner_forwarded_only_all_to_all(self, spark, monkeypatch, mode):
+        # make_state rejects a partitioner for all-to-one's single partition.
+        skewed = imbalance_workload(spark, n_frags=4, total_tuples=400, frac0=0.5)
+        seen = []
+        make = harness.make_state
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["partitioner"])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_state", record)
+        run_algorithm(skewed, "preagg_repart", TOPO, mode=mode, family=FAM)
+        expected = skewed.partitioner if mode == "all_to_all" else None
+        assert len(seen) == 1 and seen[0] is expected
 
 
 class TestHelpers:

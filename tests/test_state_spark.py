@@ -6,8 +6,13 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.repartition import repartition_plan
+from repro.core.grasp import plan_aggregation
 from repro.engine.aggspec import sum_spec
+from repro.engine.executor import _count_shipped
 from repro.engine.state import finalize, make_state, preaggregate
+from repro.minhash.hashing import HashFamily
+from repro.minhash.signatures import compute_signatures
 
 SPEC = sum_spec("a", "b", key_out="a", out="sum_b")
 
@@ -63,6 +68,13 @@ class TestMakeState:
     def test_bad_dest(self, df):
         with pytest.raises(ValueError):
             make_state(df, SPEC, n_frags=3, mode="all_to_one", dest_frag=9)
+
+    @pytest.mark.parametrize("arg", ["n_parts2", "n_parts1", "partitioner"])
+    def test_all_to_one_rejects_partition_args(self, df, arg):
+        # All-to-one has one partition; these would be silently ignored.
+        extra = {"partitioner": F.lit(0)} if arg == "partitioner" else {"n_parts": int(arg[-1])}
+        with pytest.raises(ValueError, match="all_to_one has one partition"):
+            make_state(df, SPEC, n_frags=3, mode="all_to_one", **extra)
 
     @pytest.mark.parametrize(
         "n_frags, n_parts", [(3, 0), (3, -2), (0, None)], ids=["parts0", "parts-2", "frags0"]
@@ -120,6 +132,59 @@ class TestPreaggregate:
         total0 = st0.df.agg(F.sum("p_sum")).collect()[0][0]
         total1 = st1.df.agg(F.sum("p_sum")).collect()[0][0]
         assert total0 == total1
+
+
+class TestFragmentClustering:
+    """``preaggregate`` leaves the state hash-partitioned by ``frag``, one
+    Spark partition per task slot: the signature aggregate over the
+    persisted state runs with no exchange, and Card/MinH and the
+    executor's counts equal those of the unclustered merge."""
+
+    N_FRAGS = 5  # fragment 3 is empty
+
+    @pytest.fixture(scope="class")
+    def states(self, spark):
+        rng = np.random.default_rng(3)
+        n = 600
+        frag = rng.choice([0, 1, 2, 4], n)
+        key = rng.integers(0, 80, n).astype(object)
+        key[rng.random(n) < 0.1] = None
+        pdf = pd.DataFrame({"frag": frag, "a": key, "b": rng.integers(0, 9, n)})
+        df = spark.createDataFrame(pdf, "frag long, a long, b long").repartition(7)
+        st0 = make_state(df, SPEC, n_frags=self.N_FRAGS, mode="all_to_all", n_parts=3)
+        flat = st0.df.groupBy("frag", "part", "key").agg(
+            *[p.merge_col() for p in SPEC.partials]
+        )
+        clustered = preaggregate(st0)
+        clustered.df.persist()
+        yield clustered, replace(st0, df=flat)
+        clustered.df.unpersist()
+
+    def test_one_partition_per_task_slot(self, spark, states):
+        slots = spark.sparkContext.defaultParallelism
+        assert states[0].df.rdd.getNumPartitions() == min(self.N_FRAGS, slots)
+
+    def test_signature_aggregate_has_no_exchange(self, states):
+        q = states[0].df.groupBy("frag", "part").agg(F.min("key"), F.count("*"))
+        q.collect()
+        executed = q._jdf.queryExecution().executedPlan().toString()
+        above_cache = executed.split("InMemoryRelation")[0]
+        assert "InMemoryTableScan" in above_cache
+        assert "HashAggregate" in above_cache
+        assert "Exchange" not in above_cache
+
+    def test_signatures_and_counts_equal_unclustered(self, states):
+        clustered, flat = states
+        fam = HashFamily(n=16, seed=5)
+        got = compute_signatures(clustered.df, fam, n_frags=self.N_FRAGS, n_parts=3)
+        ref = compute_signatures(flat.df, fam, n_frags=self.N_FRAGS, n_parts=3)
+        assert got.card.tobytes() == ref.card.tobytes()
+        assert got.minh.tobytes() == ref.minh.tobytes()
+        assert got.card[3].sum() == 0
+        b = np.full((self.N_FRAGS, self.N_FRAGS), 118.0)
+        grasp = plan_aggregation(ref, b, flat.dest, w=16.0)
+        for plan in (grasp, repartition_plan(self.N_FRAGS, flat.dest)):
+            assert _count_shipped(clustered, plan) == _count_shipped(flat, plan)
 
 
 class TestFinalize:
