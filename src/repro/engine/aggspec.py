@@ -106,11 +106,35 @@ def min_spec(key: str, value: str, *, key_out: str = "key", out: str = "min_v") 
     )
 
 
+def max_spec(key: str, value: str, *, key_out: str = "key", out: str = "max_v") -> AggSpec:
+    """``SELECT key, MAX(value) FROM r GROUP BY key`` — NULL for a key
+    whose values are all NULL."""
+    return AggSpec(
+        key=key,
+        partials=(PartialAgg("p_max", value, "max"),),
+        finals=((out, "p_max"),),
+        key_out=key_out,
+    )
+
+
 def count_spec(key: str, *, key_out: str = "key", out: str = "cnt") -> AggSpec:
     """``SELECT key, COUNT(*) FROM r GROUP BY key``."""
     return AggSpec(
         key=key,
         partials=(PartialAgg("p_cnt", "CAST(1 AS BIGINT)", "sum"),),
+        finals=((out, "p_cnt"),),
+        key_out=key_out,
+    )
+
+
+def count_value_spec(
+    key: str, value: str, *, key_out: str = "key", out: str = "cnt_v"
+) -> AggSpec:
+    """``SELECT key, COUNT(value) FROM r GROUP BY key`` — NULL values are
+    not counted, so a key whose values are all NULL counts 0."""
+    return AggSpec(
+        key=key,
+        partials=(PartialAgg("p_cnt", f"CAST({value} IS NOT NULL AS BIGINT)", "sum"),),
         finals=((out, "p_cnt"),),
         key_out=key_out,
     )

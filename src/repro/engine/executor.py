@@ -1,14 +1,15 @@
 """Plan execution in Spark (Step 9 of Figure 5) as one count job.
 
-A transfer always moves a sender's whole (fragment, partition), so the
-plan alone fixes which input fragments' rows each transfer carries. The
-driver walks the plan over a ``holder[origin fragment, partition]``
-table and labels every origin with each (phase, sender) that ships it,
-plus a final label naming where it ends up. One Spark job joins the
-state to that label table and counts, per (phase, sender, partition),
-the tuples the transfer ships. ``truecost.plan_cost`` prices those
-counts on the ground-truth network model, so the simulated seconds
-reflect exactly what a phase-by-phase run would move.
+A transfer always moves a sender's whole (fragment, partition), so what
+a fragment holds of a partition after any phase is a set of origin
+fragments, fixed by the plan alone. One Spark job, which does not depend
+on the plan, collects each (partition, key)'s set of origin fragments as
+a bitmask and each origin's row count. The driver walks the plan over
+``held[fragment, partition]`` origin bitmasks: a transfer ships the
+sender's rows in phase 0 and, later, the keys whose origins meet what
+the sender holds. ``truecost.plan_cost`` prices those counts on the
+ground-truth network model, so the simulated seconds reflect exactly
+what a phase-by-phase run would move.
 """
 from __future__ import annotations
 
@@ -38,51 +39,71 @@ class ExecutionResult(PlanCost):
         self.final_df.unpersist()
 
 
-def _count_shipped(state: DistState, plan: Plan) -> dict[tuple[int, int, int], int]:
-    """Tuples held by each (phase, holder, part), from one Spark job.
+def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
+    """Tuples each transfer ships, per phase in plan order, and the tuples
+    left away from their destination after the last phase: one Spark job
+    that does not depend on the plan, then a driver walk over bitmasks.
 
-    The driver walks ``holder[origin frag, part]`` through the plan: phase
-    ``i`` labels each origin that its pre-phase holder sends with ``(i,
-    sender)``, and phase ``len(plan)`` labels every origin with its final
-    holder. Phase 0 ships the state's rows as they are (raw rows for a raw
-    state); later phases ship merged partials, one per key. Keys are
-    counted by a second ``groupBy``, not ``countDistinct``, so that a null
-    key counts as one tuple, as the merge ``groupBy`` keeps it.
+    One ``groupingSets`` aggregate returns, per (part, key), the set of
+    origin fragments that hold the key, as ⌈N/64⌉ 64-bit mask words, and
+    per (frag, part) the origin's row count; ``grouping_id`` tells the two
+    kinds of row apart, so a null key stays one group, as the merge
+    ``groupBy`` keeps it. The driver walks ``held[v, l]``, the origins
+    whose partition ``l`` fragment ``v`` holds, through the plan; every
+    ship reads the holdings before its phase. Phase 0 ships the sender's
+    own rows (raw rows for a raw state); later phases ship merged
+    partials, one per key whose mask meets the sender's.
     """
     n, n_parts = state.n_frags, state.n_parts
-    holder = np.tile(np.arange(n)[:, None], (1, n_parts))
-    labels: list[tuple[int, int, int, int]] = []
-    for i, phase in enumerate(plan):
-        moves = [(np.flatnonzero(holder[:, t.part] == t.src), t) for t in phase]
-        for origins, t in moves:
-            labels += [(int(v), t.part, i, t.src) for v in origins]
-            holder[origins, t.part] = t.dst
-    labels += [(v, l, len(plan), int(h)) for (v, l), h in np.ndenumerate(holder)]
-    df = state.df
-    lab = F.broadcast(
-        df.sparkSession.createDataFrame(
-            labels, schema="l_frag int, l_part int, phase int, holder int"
+    words = [f"m{w}" for w in range(-(-n // 64))]
+    bits = [
+        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
+               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
+        for w, m in enumerate(words)
+    ]
+    pdf = (
+        state.df.groupingSets([["part", "key"], ["frag", "part"]], "frag", "part", "key")
+        .agg(F.grouping_id().alias("gid"), F.count("*").alias("rows"), *bits)
+        .drop("key")
+        .toPandas()
+    )
+    per_key = pdf["gid"].to_numpy() == 0b100  # frag is aggregated over
+    own, keys = pdf[~per_key], pdf[per_key]
+    v, l = own["frag"].to_numpy(np.float64), own["part"].to_numpy(np.float64)
+    bad = ~((0 <= v) & (v < n) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{own['rows'].iat[i]} rows have frag {v[i]:g} outside [0, {n}) "
+            f"or part {l[i]:g} outside [0, {n_parts})"
         )
+    rows = np.zeros((n, n_parts), dtype=np.int64)
+    rows[v.astype(np.int64), l.astype(np.int64)] = own["rows"]
+    hist, n_keys = np.unique(
+        keys[["part", *words]].to_numpy(np.int64).view(np.uint64), axis=0, return_counts=True
     )
-    on = (df["frag"] == lab["l_frag"]) & (df["part"] == lab["l_part"])
-    rows = (
-        df.join(lab, on, "left")
-        .groupBy("phase", "holder", "part", "key")
-        .count()
-        .groupBy("phase", "holder", "part")
-        .agg(F.sum("count").alias("rows"), F.count("*").alias("keys"))
-        .collect()
-    )
-    counts: dict[tuple[int, int, int], int] = {}
-    for r in rows:
-        if r["phase"] is None:
-            raise ValueError(
-                f"{r['rows']} rows of partition {r['part']} have frag outside "
-                f"[0, {n}) or part outside [0, {n_parts})"
-            )
-        shipped = r["rows"] if r["phase"] == 0 else r["keys"]
-        counts[(r["phase"], r["holder"], r["part"])] = shipped
-    return counts
+    by_part = [(hist[hist[:, 0] == p, 1:], n_keys[hist[:, 0] == p]) for p in range(n_parts)]
+
+    held = np.zeros((n, n_parts, len(words)), dtype=np.uint64)
+    for o in range(n):
+        held[o, :, o // 64] = np.uint64(1) << np.uint64(o % 64)
+
+    def tuples(i: int, h: int, p: int) -> int:
+        if i == 0:  # nothing has moved yet: h holds its own rows
+            return int(rows[h, p])
+        m, k = by_part[p]
+        return int(k[(m & held[h, p]).any(axis=1)].sum())
+
+    shipped = []
+    for i, phase in enumerate(plan):
+        shipped.append([tuples(i, t.src, t.part) for t in phase])
+        moves = [(t, held[t.src, t.part].copy()) for t in phase]
+        for t, _ in moves:
+            held[t.src, t.part] = 0
+        for t, m in moves:
+            held[t.dst, t.part] |= m
+    away = held.any(axis=2) & (np.arange(n)[:, None] != state.dest[None, :])
+    return shipped, sum(tuples(len(plan), h, p) for h, p in zip(*np.nonzero(away)))
 
 
 def execute_plan(
@@ -105,20 +126,11 @@ def execute_plan(
         raise ValueError(
             f"topology has {topo.n_frags} fragments, state has {state.n_frags}"
         )
-    counts = _count_shipped(state, plan)
-    leftovers = sum(
-        n
-        for (i, frag, part), n in counts.items()
-        if i == len(plan) and frag != state.dest[part]
-    )
+    shipped, leftovers = _count_shipped(state, plan)
     if leftovers:
         raise RuntimeError(
             f"plan {plan.algorithm!r} incomplete: {leftovers} tuples not at "
             "their destination after the last phase"
         )
-    shipped = [
-        [counts.get((i, t.src, t.part), 0) for t in phase]
-        for i, phase in enumerate(plan)
-    ]
     cost = plan_cost(plan, shipped, state.dest, topo, state.tuple_bytes, recv_mbps)
     return ExecutionResult(**vars(cost), final_df=finalize(state), plan=plan)

@@ -7,6 +7,8 @@ from repro.engine.aggspec import (
     PartialAgg,
     avg_spec,
     count_spec,
+    count_value_spec,
+    max_spec,
     min_spec,
     sum_spec,
 )
@@ -40,6 +42,8 @@ class TestAggSpec:
         assert len(avg_spec("k", "v").partials) == 2
         assert len(min_spec("k", "v").partials) == 1
         assert len(count_spec("k").partials) == 1
+        assert len(max_spec("k", "v").partials) == 1
+        assert len(count_value_spec("k", "v").partials) == 1
 
 
 class TestSparkSemantics:

@@ -10,6 +10,7 @@ from repro.core.grasp import plan_aggregation
 from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
 from repro.engine.aggspec import sum_spec
+from repro.engine import executor
 from repro.engine.executor import execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
@@ -18,6 +19,7 @@ from repro.netsim.topology import Topology
 from repro.netsim.truecost import plan_cost
 from repro.oracle import assert_equivalent
 from repro.experiments.harness import run_algorithm
+from repro.workloads.base import Workload
 from repro.workloads.synthetic import (
     dup_keys_workload,
     imbalance_workload,
@@ -33,6 +35,23 @@ ALGOS = ("repart", "preagg_repart", "loom", "grasp")
 @pytest.fixture(scope="module")
 def sim_wl(spark):
     return similarity_workload(spark, n_frags=N, tuples_per_frag=500, overlap=0.5)
+
+
+@pytest.fixture(scope="module")
+def null_key_wl(spark):
+    """Fragment 2 holds nothing; about one row in ten has a null key."""
+    rng = np.random.default_rng(5)
+    frag = rng.choice([0, 1, 3], 450)
+    key = rng.integers(0, 150, frag.size).astype(object)
+    key[rng.random(frag.size) < 0.1] = None
+    pdf = pd.DataFrame({"frag": frag, "k": key, "v": 1.0})
+    df = spark.createDataFrame(pdf, "frag int, k long, v double")
+    sql = "SELECT k, SUM(v) AS sum_v FROM r GROUP BY k"
+    return Workload(name="nulls", df=df, spec=sum_spec("k", "v", key_out="k"), sql=sql, n_frags=N)
+
+
+def _never_priced(*args, **kwargs):
+    raise AssertionError("a count was priced")
 
 
 class TestAllToOneCorrectness:
@@ -95,26 +114,58 @@ class TestCostAccounting:
             sets[r["frag"]][r["part"]].add(r["key"])
         return sets
 
-    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
-    def test_executor_matches_exact_simulator(self, spark, sim_wl, mode):
+    @classmethod
+    def _assert_matches_simulator(cls, st, plan, topo):
+        res = execute_plan(st, plan, topo)
+        sim = simulate_plan(cls._exact_sets(st), plan, st.dest, topo, w=st.tuple_bytes)
+        assert sim.completed(st.dest)
+        assert res.total_tuples_sent == sim.total_tuples_sent
+        assert res.dest_tuples == sim.dest_tuples
+        assert res.phase_seconds == sim.phase_seconds
+        assert res.network_seconds == sim.network_seconds
+
+    @pytest.mark.parametrize(
+        "mode,data",
+        [
+            pytest.param("all_to_one", "sim_wl", id="all_to_one"),
+            pytest.param("all_to_all", "sim_wl", id="all_to_all"),
+            pytest.param("all_to_one", "null_key_wl", id="all_to_one-null_key_empty_frag"),
+            pytest.param("all_to_all", "null_key_wl", id="all_to_all-null_key_empty_frag"),
+        ],
+    )
+    def test_executor_matches_exact_simulator(self, spark, request, mode, data):
         """Spark-measured transfer sizes == exact set semantics, phase by
-        phase; all-to-all walks holders of every partition at once."""
-        st = preaggregate(make_state(sim_wl.df, sim_wl.spec, n_frags=N, mode=mode))
+        phase; all-to-all walks holders of every partition at once. A null
+        key is one tuple in every transfer that carries it."""
+        wl = request.getfixturevalue(data)
+        st = preaggregate(make_state(wl.df, wl.spec, n_frags=N, mode=mode))
         st.df.persist()
         coord = compute_signatures(st.df, FAM, n_frags=N, n_parts=st.n_parts)
         plan = plan_aggregation(
             coord, np.full((N, N), 118.0), st.dest, w=st.tuple_bytes
         )
         assert len(plan) > 1
-        res = execute_plan(st, plan, TOPO)
-        sim = simulate_plan(
-            self._exact_sets(st), plan, st.dest, TOPO, w=st.tuple_bytes
-        )
-        assert sim.completed(st.dest)
-        assert res.total_tuples_sent == sim.total_tuples_sent
-        assert res.dest_tuples == sim.dest_tuples
-        assert res.phase_seconds == sim.phase_seconds
-        assert res.network_seconds == sim.network_seconds
+        self._assert_matches_simulator(st, plan, TOPO)
+        st.df.unpersist()
+
+    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
+    def test_executor_matches_exact_simulator_beyond_64_fragments(self, spark, mode):
+        """Origin masks span two 64-bit words: fragment 63 (word 0's sign
+        bit) and fragment 64 (word 1's first bit) hold keys."""
+        n = 70
+        topo = Topology(n_machines=7, frags_per_machine=10, nic_bw=118.0, intra_bw=2000.0)
+        rng = np.random.default_rng(9)
+        frag = np.repeat(np.arange(n), 6)
+        pdf = pd.DataFrame({"frag": frag, "k": rng.integers(0, 200, frag.size), "v": 1.0})
+        df = spark.createDataFrame(pdf, "frag int, k long, v double")
+        st = preaggregate(make_state(df, sum_spec("k", "v"), n_frags=n, mode=mode))
+        st.df.persist()
+        coord = compute_signatures(st.df, FAM, n_frags=n, n_parts=st.n_parts)
+        assert coord.card[63].sum() > 0 and coord.card[64].sum() > 0
+        b = np.where(topo.machines[:, None] == topo.machines[None, :], 2000.0, 118.0)
+        plan = plan_aggregation(coord, b, st.dest, w=st.tuple_bytes)
+        assert len(plan) > 1
+        self._assert_matches_simulator(st, plan, topo)
         st.df.unpersist()
 
     @pytest.mark.parametrize("raw", [False, True], ids=["preagg", "raw_dup_keys"])
@@ -164,20 +215,26 @@ class TestCostAccounting:
         with pytest.raises(RuntimeError, match="incomplete"):
             execute_plan(st, bad, TOPO)
 
-    @pytest.mark.parametrize("bad", ["frag", "part"])
-    def test_out_of_range_rows_rejected(self, spark, bad):
-        frags = [0, 1, N if bad == "frag" else 2]
-        df = spark.createDataFrame(
-            pd.DataFrame({"frag": frags, "a": [1, 2, 3], "b": [4, 5, 6]})
-        )
+    @pytest.mark.parametrize(
+        "bad", ["frag", "part", "frag_negative", "frag_null", "part_null", "frag_unused_bit"]
+    )
+    def test_out_of_range_rows_rejected(self, spark, monkeypatch, bad):
+        """A row no fragment or partition owns is rejected before any count
+        is priced. ``frag_unused_bit``: with 40 fragments, frag 50 is a bit
+        of the first mask word that belongs to no fragment."""
+        n = 40 if bad == "frag_unused_bit" else N
+        third = {"frag": N, "frag_negative": -1, "frag_null": None, "frag_unused_bit": 50}
+        rows = [(0, 1, 4), (1, 2, 5), (third.get(bad, 2), 3, 6)]
+        df = spark.createDataFrame(rows, "frag int, a long, b long")
         spec = sum_spec("a", "b")
-        if bad == "frag":
-            st = make_state(df, spec, n_frags=N, mode="all_to_one")
+        if bad.startswith("frag"):
+            st = make_state(df, spec, n_frags=n, mode="all_to_one")
         else:
-            part = F.when(F.col("a") == 3, N).otherwise(0)
+            part = F.when(F.col("a") == 3, N if bad == "part" else None).otherwise(0)
             st = make_state(df, spec, n_frags=N, mode="all_to_all", partitioner=part)
+        monkeypatch.setattr(executor, "plan_cost", _never_priced)
         with pytest.raises(ValueError, match="outside"):
-            execute_plan(st, repartition_plan(N, st.dest), TOPO)
+            execute_plan(st, repartition_plan(n, st.dest), Topology(n_machines=n))
 
     def test_single_fragment_zero_phase_plan(self, spark):
         wl = dup_keys_workload(spark, n_frags=1, tuples_per_frag=300, dups=3)

@@ -7,7 +7,7 @@ DuckDB running the reference SQL over the same input.
 """
 import pytest
 
-from repro.engine.aggspec import avg_spec, sum_spec
+from repro.engine.aggspec import avg_spec, count_value_spec, max_spec, sum_spec
 from repro.experiments.harness import run_algorithm
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
@@ -111,17 +111,21 @@ class TestComputeBoundCorrectness:
 RUNS = [(a, "all_to_one") for a in ALGOS] + [
     (a, "all_to_all") for a in ALGOS if a != "loom"
 ]
-_SUM_SQL = "SELECT k, SUM(v) AS sum_v FROM r GROUP BY k"
+#: aggregate name -> (spec builder, the SQL aggregate it must equal)
+_AGGS = {
+    "sum": (sum_spec, "SUM(v)"),
+    "avg": (avg_spec, "AVG(v)"),
+    "max": (max_spec, "MAX(v)"),
+    "count_v": (count_value_spec, "COUNT(v)"),
+}
 
 
-def _workload(spark, rows, *, key_type="bigint", avg=False):
+def _workload(spark, rows, *, key_type="bigint", agg="sum"):
     """A 4-fragment workload over ``rows`` of (frag, k, v)."""
     df = spark.createDataFrame(rows, schema=f"frag int, k {key_type}, v double")
-    if avg:
-        spec = avg_spec("k", "v", key_out="k", out="avg_v")
-        sql = "SELECT k, AVG(v) AS avg_v FROM r GROUP BY k"
-    else:
-        spec, sql = sum_spec("k", "v", key_out="k", out="sum_v"), _SUM_SQL
+    make, sql_agg = _AGGS[agg]
+    spec = make("k", "v", key_out="k", out="out_v")
+    sql = f"SELECT k, {sql_agg} AS out_v FROM r GROUP BY k"
     return Workload(name="edge", df=df, spec=spec, sql=sql, n_frags=N)
 
 
@@ -141,7 +145,17 @@ class TestEdgeCases:
             (0, 2, None), (3, 2, None),
             (1, 3, 4.0), (2, 3, 6.0), (3, 3, None),
         ]
-        _check(_workload(spark, rows, avg=True), algo, mode)
+        _check(_workload(spark, rows, agg="avg"), algo, mode)
+
+    @pytest.mark.parametrize("agg", ["max", "count_v"])
+    def test_max_and_count_skip_null_values(self, spark, algo, mode, agg):
+        # Key 2's values are all NULL: MAX is NULL and COUNT(v) is 0.
+        rows = [
+            (0, 1, 10.0), (1, 1, None), (2, 1, -3.0),
+            (0, 2, None), (3, 2, None),
+            (1, 3, 4.0), (2, 3, 6.0), (3, 3, None), (0, None, None),
+        ]
+        _check(_workload(spark, rows, agg=agg), algo, mode)
 
     def test_null_keys(self, spark, algo, mode):
         rows = [
