@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.plan import Plan
-from repro.engine.state import DistState, finalize
+from repro.engine.state import DistState, finalize, scatter_cells
 from repro.netsim.topology import Topology
 from repro.netsim.truecost import PlanCost, plan_cost
 
@@ -39,20 +39,16 @@ class ExecutionResult(PlanCost):
         self.final_df.unpersist()
 
 
-def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
-    """Tuples each transfer ships, per phase in plan order, and the tuples
-    left away from their destination after the last phase: one Spark job
-    that does not depend on the plan, then a driver walk over bitmasks.
+def count_origins(state: DistState) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """``rows[v, l]``, fragment ``v``'s rows of partition ``l``, and per
+    partition its distinct origin masks (⌈N/64⌉ uint64 words, bit ``v``
+    set when fragment ``v`` holds the key) with the keys per mask.
 
-    One ``groupingSets`` aggregate returns, per (part, key), the set of
-    origin fragments that hold the key, as ⌈N/64⌉ 64-bit mask words, and
-    per (frag, part) the origin's row count; ``grouping_id`` tells the two
-    kinds of row apart, so a null key stays one group, as the merge
-    ``groupBy`` keeps it. The driver walks ``held[v, l]``, the origins
-    whose partition ``l`` fragment ``v`` holds, through the plan; every
-    ship reads the holdings before its phase. Phase 0 ships the sender's
-    own rows (raw rows for a raw state); later phases ship merged
-    partials, one per key whose mask meets the sender's.
+    One ``groupingSets`` aggregate, independent of any plan, counts per
+    (frag, part) and ORs origin bits per (part, key), read back in one
+    Arrow batch; ``grouping_id`` tells the two kinds of row apart, so a
+    null key stays one group, as the merge ``groupBy`` keeps it. Raises
+    ``ValueError`` for a null or out-of-range ``frag``/``part``.
     """
     n, n_parts = state.n_frags, state.n_parts
     words = [f"m{w}" for w in range(-(-n // 64))]
@@ -69,22 +65,26 @@ def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
     )
     per_key = pdf["gid"].to_numpy() == 0b100  # frag is aggregated over
     own, keys = pdf[~per_key], pdf[per_key]
-    v, l = own["frag"].to_numpy(np.float64), own["part"].to_numpy(np.float64)
-    bad = ~((0 <= v) & (v < n) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"{own['rows'].iat[i]} rows have frag {v[i]:g} outside [0, {n}) "
-            f"or part {l[i]:g} outside [0, {n_parts})"
-        )
-    rows = np.zeros((n, n_parts), dtype=np.int64)
-    rows[v.astype(np.int64), l.astype(np.int64)] = own["rows"]
+    rows = scatter_cells(own, own["rows"].to_numpy(np.int64), 0, n, n_parts)
     hist, n_keys = np.unique(
         keys[["part", *words]].to_numpy(np.int64).view(np.uint64), axis=0, return_counts=True
     )
-    by_part = [(hist[hist[:, 0] == p, 1:], n_keys[hist[:, 0] == p]) for p in range(n_parts)]
+    return rows, [(hist[hist[:, 0] == p, 1:], n_keys[hist[:, 0] == p]) for p in range(n_parts)]
 
-    held = np.zeros((n, n_parts, len(words)), dtype=np.uint64)
+
+def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
+    """Tuples each transfer ships, per phase in plan order, and the tuples
+    left away from their destination after the last phase.
+
+    A driver walk over :func:`count_origins`: ``held[v, l]``, the origins
+    whose partition ``l`` fragment ``v`` holds, follows the plan, and
+    every ship reads the holdings before its phase. Phase 0 ships the
+    sender's own rows (raw rows for a raw state); later phases ship
+    merged partials, one per key whose mask meets the sender's.
+    """
+    rows, by_part = count_origins(state)
+    n, n_parts, n_words = state.n_frags, state.n_parts, -(-state.n_frags // 64)
+    held = np.zeros((n, n_parts, n_words), dtype=np.uint64)
     for o in range(n):
         held[o, :, o // 64] = np.uint64(1) << np.uint64(o % 64)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pandas as pd
 from pyspark.errors import AnalysisException
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -46,7 +47,7 @@ def make_state(
     *,
     n_frags: int,
     mode: str,
-    dest_frag: int = 0,
+    dest_frag: int | None = None,
     n_parts: int | None = None,
     tuple_bytes: float = 16.0,
     partitioner: Column | None = None,
@@ -54,18 +55,18 @@ def make_state(
     """Build the initial state ``X_0`` from an input DataFrame.
 
     ``mode="all_to_one"``: a single partition 0 whose destination is
-    ``dest_frag``. ``mode="all_to_all"``: ``n_parts`` partitions
-    (default: one per fragment) assigned by ``partitioner`` (default:
-    ``xxhash64(key) mod n_parts``), partition ``l`` destined to fragment
-    ``l mod n_frags`` — the paper's balanced mapping. A custom
-    ``partitioner`` column models skewed repartition functions
-    (Section 5.2.3).
+    ``dest_frag`` (default 0). ``mode="all_to_all"``: ``n_parts``
+    partitions (default: one per fragment), partition ``l`` destined to
+    fragment ``l mod n_frags`` — the paper's balanced mapping. Rows are
+    assigned by ``partitioner`` (default: ``xxhash64(key) mod n_parts``,
+    which is 0 for all-to-one); a custom ``partitioner`` column models
+    skewed repartition functions (Section 5.2.3).
 
     Raises ``ValueError`` for fewer than one fragment or partition, for
-    ``n_parts`` or ``partitioner`` given with ``all_to_one`` (which would
-    ignore them), and for a key column that ``xxhash64`` cannot hash (a
-    map, for one): the signature job and the default partitioner hash
-    the key.
+    an argument the mode would ignore (``n_parts`` or ``partitioner``
+    with ``all_to_one``, ``dest_frag`` with ``all_to_all``), and for a
+    key column that ``xxhash64`` cannot hash (a map, for one): the
+    signature job and the default partitioner hash the key.
     """
     if n_frags < 1 or (n_parts is not None and n_parts < 1):
         raise ValueError(f"need n_frags >= 1 and n_parts >= 1, got {n_frags}, {n_parts}")
@@ -75,38 +76,47 @@ def make_state(
         raise ValueError(
             f"key column {spec.key!r} cannot be hashed: {e.getCondition()}"
         ) from e
-    key = F.col(spec.key).alias("key")
-    if mode == "all_to_one":
-        if n_parts is not None or partitioner is not None:
-            raise ValueError("all_to_one has one partition: n_parts and partitioner not allowed")
-        if not 0 <= dest_frag < n_frags:
-            raise ValueError(f"dest_frag {dest_frag} out of range")
-        part = F.lit(0).alias("part")
-        dest = np.array([dest_frag], dtype=np.int64)
-    elif mode == "all_to_all":
-        m = n_parts if n_parts is not None else n_frags
-        part_expr = (
-            partitioner
-            if partitioner is not None
-            else F.pmod(F.xxhash64(F.col(spec.key)), F.lit(m))
-        )
-        part = part_expr.cast("int").alias("part")
-        dest = np.arange(m, dtype=np.int64) % n_frags
-    else:
+    if mode not in ("all_to_one", "all_to_all"):
         raise ValueError(f"unknown mode {mode!r}")
+    one = mode == "all_to_one"
+    if one and (n_parts is not None or partitioner is not None):
+        raise ValueError("all_to_one has one partition: n_parts and partitioner not allowed")
+    if not one and dest_frag is not None:
+        raise ValueError("all_to_all sends partition l to fragment l mod n: dest_frag not allowed")
+    m = 1 if one else n_parts or n_frags
+    dest = np.array([dest_frag or 0], dtype=np.int64) if one else np.arange(m) % n_frags
+    if not 0 <= dest[0] < n_frags:
+        raise ValueError(f"dest_frag {dest_frag} out of range")
+    if partitioner is None:
+        partitioner = F.pmod(F.xxhash64(F.col(spec.key)), F.lit(m))
     out = df.select(
         F.col("frag").cast("int").alias("frag"),
-        part,
-        key,
+        partitioner.cast("int").alias("part"),
+        F.col(spec.key).alias("key"),
         *[p.init_col() for p in spec.partials],
     )
-    return DistState(
-        df=out,
-        spec=spec,
-        n_frags=n_frags,
-        dest=dest,
-        tuple_bytes=tuple_bytes,
-    )
+    return DistState(df=out, spec=spec, n_frags=n_frags, dest=dest, tuple_bytes=tuple_bytes)
+
+
+def scatter_cells(
+    pdf: pd.DataFrame, values: np.ndarray, fill, n_frags: int, n_parts: int
+) -> np.ndarray:
+    """An ``(n_frags, n_parts, ...)`` array holding ``fill``, with
+    ``values[i]`` at the ``(frag, part)`` cell of row ``i`` of ``pdf``, a
+    driver-side read of a per-(fragment, partition) Spark job.
+
+    Raises ``ValueError`` for a null or out-of-range ``frag`` or ``part``,
+    which would otherwise wrap around (negative) or fail later.
+    """
+    v, l = pdf["frag"].to_numpy(np.float64), pdf["part"].to_numpy(np.float64)
+    bad = ~((0 <= v) & (v < n_frags) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"(frag, part) = ({v[i]:g}, {l[i]:g}) out of declared range: "
+                         f"outside [0, {n_frags}) x [0, {n_parts})")
+    out = np.full((n_frags, n_parts, *values.shape[1:]), fill, dtype=values.dtype)
+    out[v.astype(np.int64), l.astype(np.int64)] = values
+    return out
 
 
 def preaggregate(state: DistState) -> DistState:
@@ -115,8 +125,8 @@ def preaggregate(state: DistState) -> DistState:
 
     The result is hash-partitioned by ``frag`` into one Spark partition
     per task slot (at most one per fragment), each holding whole
-    fragments: the merge needs no second exchange, and the per-fragment
-    jobs over the persisted state (signatures, LOOM's counts) need none.
+    fragments: the merge needs no second exchange, and the signature
+    job's ``groupBy(frag, part)`` over the persisted state needs none.
     """
     k = min(state.n_frags, state.df.sparkSession.sparkContext.defaultParallelism)
     merged = state.df.repartition(k, "frag").groupBy("frag", "part", "key").agg(

@@ -16,7 +16,7 @@ import numpy as np
 from repro.baselines.loom import loom_fanin, loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
-from repro.engine.executor import ExecutionResult, execute_plan
+from repro.engine.executor import ExecutionResult, count_origins, execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
@@ -48,8 +48,8 @@ class ResultRow:
     loom_fanin: int = 0
     #: Wall times, both measured by :func:`run_algorithm` (plans carry
     #: none). ``planning_seconds`` is the coordinator's whole step: for
-    #: GRASP the Spark signature job plus scheduling, for LOOM its
-    #: cardinality jobs plus ``loom_plan``, 0 for the repartition
+    #: GRASP the Spark signature job plus scheduling, for LOOM the
+    #: executor's count job plus ``loom_plan``, 0 for the repartition
     #: baselines. ``schedule_seconds`` is GRASP's coordinator scheduling
     #: alone (Eq. 8 cost matrices + Algorithm 2): the signature job's
     #: first-run warm-up would otherwise mask the Section 5.3.3
@@ -66,7 +66,7 @@ def run_algorithm(
     topo: Topology,
     *,
     mode: str = "all_to_one",
-    dest_frag: int = 0,
+    dest_frag: int | None = None,
     b_est: np.ndarray | None = None,
     family: HashFamily = FAMILY,
     compute_bound: bool = False,
@@ -111,18 +111,12 @@ def run_algorithm(
         try:
             if algorithm == "loom":
                 t0 = time.perf_counter()
-                # LOOM is configured with accurate cardinalities (Section 5.1.1).
-                per_frag = {
-                    int(r["frag"]): int(r["count"])
-                    for r in st.df.groupBy("frag").count().collect()
-                }
-                leaf_cards = np.array(
-                    [per_frag.get(v, 0) for v in range(st.n_frags)], dtype=np.float64
-                )
-                domain = st.df.select("key").distinct().count()
-                plan = loom_plan(
-                    leaf_cards, float(domain), int(st.dest[0]), topo, w=workload.tuple_bytes
-                )
+                # LOOM is configured with accurate cardinalities (Section
+                # 5.1.1): each fragment's keys and the result's, both from
+                # the executor's count job over the one partition.
+                rows, by_part = count_origins(st)
+                cards, domain = rows[:, 0].astype(np.float64), float(by_part[0][1].sum())
+                plan = loom_plan(cards, domain, int(st.dest[0]), topo, w=workload.tuple_bytes)
                 fanin = loom_fanin(plan)
             else:  # grasp
                 b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)

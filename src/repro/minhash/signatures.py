@@ -14,6 +14,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.engine.state import scatter_cells
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily
 
@@ -44,14 +45,6 @@ def compute_signatures(
     aggs = F.expr("count(1) AS card"), F.expr(f"array({slots}) AS minh")
     pdf = df.groupBy("frag", "part").agg(*aggs).toPandas()
 
-    v, l = pdf["frag"].to_numpy(np.float64), pdf["part"].to_numpy(np.float64)
-    bad = ~((0 <= v) & (v < n_frags) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"fragment/partition ({v[i]:g}, {l[i]:g}) out of declared range")
-    card = np.zeros((n_frags, n_parts), dtype=np.float64)
-    minh = np.full((n_frags, n_parts, family.n), EMPTY_SLOT, dtype=np.int64)
-    v, l = v.astype(np.int64), l.astype(np.int64)
-    card[v, l] = pdf["card"].to_numpy(np.float64)
-    minh[v, l] = np.array(pdf["minh"].tolist(), dtype=np.int64).reshape(len(pdf), family.n)
-    return CoordinatorState(card, minh)
+    card = scatter_cells(pdf, pdf["card"].to_numpy(np.float64), 0.0, n_frags, n_parts)
+    minh = np.array(pdf["minh"].tolist(), dtype=np.int64).reshape(len(pdf), family.n)
+    return CoordinatorState(card, scatter_cells(pdf, minh, EMPTY_SLOT, n_frags, n_parts))

@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.loom import loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
 from repro.core.plan import Phase, Plan, Transfer
@@ -18,6 +19,7 @@ from repro.minhash.signatures import compute_signatures
 from repro.netsim.topology import Topology
 from repro.netsim.truecost import plan_cost
 from repro.oracle import assert_equivalent
+from repro.experiments import harness
 from repro.experiments.harness import run_algorithm
 from repro.workloads.base import Workload
 from repro.workloads.synthetic import (
@@ -84,6 +86,31 @@ class TestAllToOneCorrectness:
             keep_result=True,
         )
         assert_equivalent(res.final_df, sim_wl.sql, r=sim_wl.df)
+        res.unpersist()
+
+
+    def test_loom_plans_from_exact_cardinalities(self, spark, null_key_wl, monkeypatch):
+        """LOOM's inputs are each fragment's distinct keys (0 for the empty
+        fragment 2) and the result's, a null key counted once: the plan
+        equals ``loom_plan`` fed by a ``groupBy(frag)`` and a ``distinct``."""
+        wl = null_key_wl
+        st = preaggregate(make_state(wl.df, wl.spec, n_frags=N, mode="all_to_one"))
+        per_frag = {r["frag"]: r["count"] for r in st.df.groupBy("frag").count().collect()}
+        cards = np.array([per_frag.get(v, 0) for v in range(N)], dtype=np.float64)
+        domain = float(st.df.select("key").distinct().count())
+        assert cards[2] == 0 and st.df.filter(F.col("key").isNull()).count() > 0
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(args[:2])
+            return loom_plan(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "loom_plan", record)
+        row, res = run_algorithm(wl, "loom", TOPO, family=FAM, keep_result=True)
+        [(got_cards, got_domain)] = seen
+        assert got_cards.tobytes() == cards.tobytes() and got_domain == domain
+        assert res.plan == loom_plan(cards, domain, 0, TOPO, w=wl.tuple_bytes)
+        assert_equivalent(res.final_df, wl.sql, r=wl.df)
         res.unpersist()
 
 

@@ -78,13 +78,15 @@ class TestRunAlgorithm:
         # may differ but both must complete.
         assert r_slow.network_seconds > 0 and r_fast.network_seconds > 0
 
-    @pytest.mark.parametrize("algo", ["grasp", "loom"])
-    def test_failed_run_releases_cached_state(self, spark, wl, algo):
-        # A row at frag = N makes signatures (GRASP) or execution (LOOM)
-        # raise after the pre-aggregated state is persisted.
-        bad = dataclasses.replace(
-            wl, df=wl.df.union(wl.df.limit(1).withColumn("frag", F.lit(wl.n_frags)))
-        )
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("frag", ["n_frags", None], ids=["frag_N", "frag_null"])
+    def test_failed_run_releases_cached_state(self, spark, wl, frag, algo):
+        # A row at frag = N or a null frag makes the first Spark read of
+        # the state raise a ValueError: the count job (Repart,
+        # Preagg+Repart, LOOM) or the signature job (GRASP), the last two
+        # after the pre-aggregated state is persisted.
+        bad_frag = F.lit(wl.n_frags if frag else None).cast("int")
+        bad = dataclasses.replace(wl, df=wl.df.union(wl.df.limit(1).withColumn("frag", bad_frag)))
         spark.catalog.clearCache()
         with pytest.raises(ValueError):
             run_algorithm(bad, algo, TOPO, mode="all_to_one", family=FAM)

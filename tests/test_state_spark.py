@@ -76,6 +76,13 @@ class TestMakeState:
         with pytest.raises(ValueError, match="all_to_one has one partition"):
             make_state(df, SPEC, n_frags=3, mode="all_to_one", **extra)
 
+    @pytest.mark.parametrize("dest_frag", [0, 2])
+    def test_all_to_all_rejects_dest_frag(self, df, dest_frag):
+        # All-to-all destines partition l to fragment l mod N; a
+        # dest_frag would be silently ignored.
+        with pytest.raises(ValueError, match="dest_frag not allowed"):
+            make_state(df, SPEC, n_frags=3, mode="all_to_all", dest_frag=dest_frag)
+
     @pytest.mark.parametrize(
         "n_frags, n_parts", [(3, 0), (3, -2), (0, None)], ids=["parts0", "parts-2", "frags0"]
     )
