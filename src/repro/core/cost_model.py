@@ -59,14 +59,17 @@ def cost_matrix(
     ``bandwidth`` is the planner's *estimated* B matrix (N, N) in MB/s;
     every off-diagonal entry must be finite and positive (the diagonal
     is never used). ``dest`` maps each partition to its final
-    destination fragment (``M`` of Section 2.2); ``w`` is the tuple
-    width in bytes. All L partitions are priced in one broadcast.
+    destination fragment (``M`` of Section 2.2), each in [0, N); ``w`` is
+    the tuple width in bytes. All L partitions are priced in one
+    broadcast.
     """
     n, m = state.n_frags, state.n_parts
     if bandwidth.shape != (n, n):
         raise ValueError(f"bandwidth shape {bandwidth.shape} != ({n}, {n})")
     if dest.shape != (m,):
         raise ValueError(f"dest shape {dest.shape} != ({m},)")
+    if np.any((dest < 0) | (dest >= n)):
+        raise ValueError(f"dest {dest.tolist()} has a fragment outside [0, {n})")
     off_diag = bandwidth[~np.eye(n, dtype=bool)]
     if not np.all(np.isfinite(off_diag) & (off_diag > 0)):
         raise ValueError("off-diagonal bandwidth entries must be finite and positive")

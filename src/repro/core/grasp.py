@@ -29,31 +29,38 @@ def select_phase(c: np.ndarray) -> Phase:
     leave the candidate sets, so the greedy sequence is a forward scan
     of ``C_i``'s finite entries sorted by (cost, flat index) that skips
     entries whose sender, receiver or (l, node) is already used. The
-    sort is done in bands of the cheapest remaining entries
-    (``np.partition`` for the band's top value, then every entry up to
-    and including it, so ties stay in one band). Each pick keeps only the
-    band's still-valid entries and takes the first; the band ends when
-    none is valid, and entries that are already invalid are dropped
-    before the next, wider band is cut. The picks' UPDATEs are applied
-    by the caller (:func:`plan_aggregation`), once per phase.
+    sort is done in bands cut in whole ``(l, s)`` rows of ``C_i``: each
+    live row keeps its cheapest entry above the previous band's top,
+    ``np.partition`` of those minima gives the band's top, and the rows
+    whose minimum is at or below it hold every entry of the band, ties
+    included. Gathered in row order and sorted stably by cost, the band
+    keeps the (cost, flat index) order. Each pick keeps only the band's
+    still-valid entries and takes the first; the band ends when none is
+    valid. Rows whose sender has sent or whose ``(l, s)`` is used are
+    then dropped, so the next, wider band reads only live senders. The
+    picks' UPDATEs are applied by the caller (:func:`plan_aggregation`),
+    once per phase.
     """
     m, n, _ = c.shape
     send_ok = np.ones(n, dtype=bool)
     recv_ok = np.ones(n, dtype=bool)
     part_ok = np.ones((m, n), dtype=bool)
     phase = Phase()
-    flat = np.flatnonzero(np.isfinite(c))  # ascending, i.e. C order
-    cost = c.ravel()[flat]
-    band = 4 * n
-    while flat.size:
-        k = min(band, flat.size) - 1
-        top = np.partition(cost, k)[k]
-        cut = cost <= top
-        idx = flat[cut][np.argsort(cost[cut], kind="stable")]
-        flat, cost = flat[~cut], cost[~cut]
-        band *= 4
-        bl, rest = np.divmod(idx, n * n)
-        bs, bt = np.divmod(rest, n)
+    rows = c.reshape(m * n, n)
+    low = rows.min(axis=1)  # each row's cheapest entry above `floor`
+    live = np.flatnonzero(low < np.inf)  # ascending, i.e. C order
+    low = low[live]
+    floor, band = -np.inf, n
+    while live.size:
+        k = min(band, live.size) - 1
+        top = np.partition(low, k)[k]
+        cut = low <= top
+        band_rows = live[cut]
+        block = rows[band_rows]
+        ri, bt = np.nonzero((block > floor) & (block <= top))
+        order = np.argsort(block[ri, bt], kind="stable")
+        bl, bs = np.divmod(band_rows[ri[order]], n)
+        bt = bt[order]
         while True:
             hit = send_ok[bs] & recv_ok[bt] & part_ok[bl, bs] & part_ok[bl, bt]
             bl, bs, bt = bl[hit], bs[hit], bt[hit]
@@ -65,11 +72,13 @@ def select_phase(c: np.ndarray) -> Phase:
             recv_ok[t] = False
             part_ok[l, s] = False
             part_ok[l, t] = False
-        # Entries that are invalid now stay invalid: drop them before
-        # cutting the next band.
-        ok = part_ok[:, :, None] & part_ok[:, None, :] & send_ok[:, None] & recv_ok
-        keep = ok.ravel()[flat]
-        flat, cost = flat[keep], cost[keep]
+        low[cut] = np.where(block > top, block, np.inf).min(axis=1)
+        floor, band = top, band * 4
+        # Rows that are dead now stay dead: drop them before cutting the
+        # next band.
+        rl, rs = np.divmod(live, n)
+        keep = (low < np.inf) & send_ok[rs] & part_ok[rl, rs]
+        live, low = live[keep], low[keep]
     phase.validate()
     return phase
 
@@ -95,9 +104,12 @@ def plan_aggregation(
     the single-partition case ``dest = [v*]``. Every phase empties at
     least one (fragment, partition), so more than N·L + 1 phases means
     the planner is making no progress and raises ``RuntimeError``.
-    ``C`` is built once; after each phase's batched UPDATE only rows and
-    columns ``v`` of ``C[l]`` for the touched (l, v) are repriced, which
-    is all of Eq. 8 that a transfer changes.
+    ``C`` is built once. After each phase's batched UPDATE, each
+    emptied sender's row and column of ``C[l]`` are set to ``inf``, the
+    value Eq. 8 gives them (an empty sender never sends, and an empty
+    node that is not ``M(l)`` never receives; a sender is never ``M(l)``),
+    and only the receivers' rows and columns are repriced. That is all of
+    Eq. 8 that a transfer changes.
     """
     dest = np.asarray(dest, dtype=np.int64)
     limit = state.n_frags * state.n_parts + 1
@@ -115,8 +127,10 @@ def plan_aggregation(
         plan.phases.append(phase)
         s, t, l = np.array([(x.src, x.dst, x.part) for x in phase], dtype=np.intp).T
         update(state, s, t, l)
-        ls, vs = np.concatenate([l, l])[:, None], np.concatenate([s, t])[:, None]
-        c[ls, vs, nodes] = eq8(state, bandwidth, dest, w, ls, vs, nodes)
-        c[ls, nodes, vs] = eq8(state, bandwidth, dest, w, ls, nodes, vs)
+        c[l, s, :] = np.inf
+        c[l, :, s] = np.inf
+        l, t = l[:, None], t[:, None]
+        c[l, t, nodes] = eq8(state, bandwidth, dest, w, l, t, nodes)
+        c[l, nodes, t] = eq8(state, bandwidth, dest, w, l, nodes, t)
     plan.validate()
     return plan

@@ -10,7 +10,9 @@ signature of each (fragment, partition) set; empty sets hold
 
 The state also caches, for every partition, how many signature slots
 each pair of fragments agrees on, so the Jaccard estimates of a phase
-cost no signature comparisons. :func:`update` keeps that cache exact.
+cost no signature comparisons, and how many slots of each signature are
+EMPTY, so an emptied sender's agreements cost none either.
+:func:`update` keeps both caches exact.
 """
 from __future__ import annotations
 
@@ -24,21 +26,23 @@ from repro.minhash.hashing import EMPTY_SLOT, HashFamily, signature
 
 @dataclass
 class CoordinatorState:
-    """Driver-side planning state: the two arrays of Section 3.3, plus a
-    cache derived from ``minh``.
+    """Driver-side planning state: the two arrays of Section 3.3, plus two
+    caches derived from ``minh``.
 
     ``agree[l, s, t]`` is the number of signature slots on which
     fragments ``s`` and ``t`` agree in partition ``l`` (shape (L, N, N),
-    symmetric, ``n`` on the diagonal). It is counted once at
-    construction; :func:`update` refreshes the rows and columns it
-    touches and :meth:`copy` copies it. :func:`update` is the only
+    symmetric, ``n`` on the diagonal). ``n_empty[v, l]`` is the number
+    of EMPTY slots in ``minh[v, l]`` (shape (N, L)). Both are counted
+    once at construction; :func:`update` refreshes the entries it
+    touches and :meth:`copy` copies them. :func:`update` is the only
     supported way to change ``card`` or ``minh`` after construction —
-    writing to the arrays directly leaves ``agree`` stale.
+    writing to the arrays directly leaves the caches stale.
     """
 
     card: np.ndarray  # (N, L) float64
     minh: np.ndarray  # (N, L, n) int64
     agree: np.ndarray = field(init=False, repr=False, compare=False)  # (L, N, N) int64
+    n_empty: np.ndarray = field(init=False, repr=False, compare=False)  # (N, L) int64
 
     def __post_init__(self) -> None:
         if self.card.ndim != 2 or self.minh.ndim != 3:
@@ -53,6 +57,7 @@ class CoordinatorState:
         for l in range(self.n_parts):
             sig = self.minh[:, l, :]
             np.sum(sig[:, None, :] == sig[None, :, :], axis=2, out=self.agree[l])
+        self.n_empty = np.sum(self.minh == EMPTY_SLOT, axis=2)
 
     @property
     def n_frags(self) -> int:
@@ -67,9 +72,10 @@ class CoordinatorState:
         return self.minh.shape[2]
 
     def copy(self) -> "CoordinatorState":
-        """An independent state; the agreement cache is copied, not recounted."""
+        """An independent state; the caches are copied, not recounted."""
         out = shallow_copy(self)
-        out.card, out.minh, out.agree = self.card.copy(), self.minh.copy(), self.agree.copy()
+        out.card, out.minh = self.card.copy(), self.minh.copy()
+        out.agree, out.n_empty = self.agree.copy(), self.n_empty.copy()
         return out
 
     @classmethod
@@ -124,19 +130,32 @@ def update(state: CoordinatorState, s, t, l) -> None:
     per phase, so one phase's transfers touch disjoint (l, node) pairs;
     every ESTCARD then reads state that no other transfer of the batch
     changes, and one vectorised pass equals applying them one at a time.
-    A repeated (l, node) pair raises ``ValueError``. Only the touched
-    rows and columns of ``agree`` are recounted (N·n slot comparisons
-    per touched pair). This is the only supported mutator of the state.
+    An index outside the state or a repeated (l, node) pair raises
+    ``ValueError`` before anything is written. Only each receiver's row
+    and column of ``agree`` are recounted (N·n slot comparisons per
+    transfer): an emptied sender's signature is all EMPTY, so it agrees
+    with each signature on exactly that signature's EMPTY slots, which
+    ``n_empty`` holds. This is the only supported mutator of the state.
     """
     s, t, l = (np.atleast_1d(np.asarray(x, dtype=np.intp)) for x in (s, t, l))
+    n, m = state.n_frags, state.n_parts
+    for name, x, size in (("s", s, n), ("t", t, n), ("l", l, m)):
+        if np.any((x < 0) | (x >= size)):
+            raise ValueError(f"UPDATE index {name} outside [0, {size}): {x.tolist()}")
     ls, vs = np.concatenate([l, l]), np.concatenate([s, t])
-    if np.unique(ls * state.n_frags + vs).size != vs.size:
+    if np.unique(ls * n + vs).size != vs.size:
         raise ValueError("a batch of UPDATEs must touch each (partition, node) once")
     state.card[t, l] = est_card(state, s, t, l)
     state.card[s, l] = 0.0
-    state.minh[t, l] = np.minimum(state.minh[t, l], state.minh[s, l])
+    sig = np.minimum(state.minh[t, l], state.minh[s, l])  # (transfers, n)
+    state.minh[t, l] = sig
     state.minh[s, l] = EMPTY_SLOT
-    rows = np.sum(state.minh[:, ls] == state.minh[vs, ls], axis=2).T  # (touched, N)
-    nodes = np.arange(state.n_frags)
-    state.agree[ls[:, None], vs[:, None], nodes] = rows
-    state.agree[ls[:, None], nodes, vs[:, None]] = rows
+    state.n_empty[t, l] = np.sum(sig == EMPTY_SLOT, axis=1)
+    state.n_empty[s, l] = state.n_slots
+    nodes, lc = np.arange(n), l[:, None]
+    sent = state.n_empty[:, l].T  # (transfers, N); n on each sender's diagonal
+    state.agree[lc, s[:, None], nodes] = sent
+    state.agree[lc, nodes, s[:, None]] = sent
+    rows = np.sum(state.minh[:, l] == sig, axis=2).T  # (transfers, N)
+    state.agree[lc, t[:, None], nodes] = rows
+    state.agree[lc, nodes, t[:, None]] = rows

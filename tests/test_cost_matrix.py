@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import cost_matrix
+from repro.core.grasp import plan_aggregation
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import HashFamily
 
@@ -126,6 +127,16 @@ class TestRules:
             cost_matrix(state, np.ones((3, 3)), np.array([0]), w=W)
         with pytest.raises(ValueError):
             cost_matrix(state, np.ones((4, 4)), np.array([0, 1]), w=W)
+
+    @pytest.mark.parametrize("dest", [-1, 4])
+    def test_out_of_range_destination_rejected(self, dest):
+        # -1 would index fragment N-1 and plan a merge onto it; N would
+        # fail later with a bare IndexError.
+        state = fig1_state()
+        with pytest.raises(ValueError, match="outside"):
+            cost_matrix(state, np.ones((4, 4)), np.array([dest]), w=W)
+        with pytest.raises(ValueError, match="outside"):
+            plan_aggregation(state, np.ones((4, 4)), [dest], w=W)
 
 
 class TestBandwidthValidation:

@@ -169,23 +169,33 @@ class TestAllPairs:
 @st.composite
 def state_and_updates(draw):
     """A small state with many equal and empty signatures, plus two random
-    sequences of UPDATE(s, t, l) calls on it."""
+    sequences of UPDATE(s, t, l) calls on it. Some states are built by
+    hand with only some slots of a signature EMPTY."""
     n = draw(st.integers(min_value=2, max_value=7))
     m = draw(st.integers(min_value=1, max_value=3))
     keys = st.lists(st.integers(min_value=0, max_value=6), max_size=5)
     sets = [[np.array(draw(keys), dtype=np.int64) for _ in range(m)] for _ in range(n)]
     fam = HashFamily(n=draw(st.integers(min_value=1, max_value=12)), seed=4)
+    state = CoordinatorState.from_key_sets(sets, fam)
+    slot = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, fam.n - 1))
+    holes = draw(st.lists(slot, max_size=8))
+    if holes:
+        minh = state.minh.copy()
+        minh[tuple(np.array(holes).T)] = EMPTY_SLOT
+        state = CoordinatorState(state.card, minh)
     pair = st.tuples(
         st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, m - 1)
     ).filter(lambda p: p[0] != p[1])
     updates = st.lists(pair, max_size=12)
-    return CoordinatorState.from_key_sets(sets, fam), draw(updates), draw(updates)
+    return state, draw(updates), draw(updates)
 
 
 def assert_cache_exact(state):
-    """The agreement cache equals a full recount, and every estimate read
-    from it equals the ``np.mean`` formula bit for bit."""
-    np.testing.assert_array_equal(state.agree, CoordinatorState(state.card, state.minh).agree)
+    """The caches equal a full recount, and every estimate read from them
+    equals the ``np.mean`` formula bit for bit."""
+    fresh = CoordinatorState(state.card, state.minh)
+    np.testing.assert_array_equal(state.agree, fresh.agree)
+    np.testing.assert_array_equal(state.n_empty, fresh.n_empty)
     for l in range(state.n_parts):
         assert np.array_equal(all_pairs(state, l), ref.all_pairs_union_card(state.card, state.minh, l))
         for s in range(state.n_frags):
@@ -199,7 +209,8 @@ class TestAgreementCache:
     def test_matches_recount_after_updates(self, case):
         state, updates, _ = case
         assert_cache_exact(state)
-        for s, t, l in updates:
+        # The second pass sends again from the senders the first emptied.
+        for s, t, l in updates * 2:
             update(state, s, t, l)
             assert_cache_exact(state)
 
@@ -219,11 +230,15 @@ class TestAgreementCache:
 
 @st.composite
 def state_and_phase(draw):
-    """A small tie-heavy state and one phase of picks that touch disjoint
-    (l, node) pairs, as Algorithm 2 makes them."""
-    state, candidates, _ = draw(state_and_updates())
+    """A small tie-heavy state after some UPDATEs, and one phase of picks
+    that touch disjoint (l, node) pairs, as Algorithm 2 makes them. The
+    earlier UPDATEs' senders are offered first, so many picks send from
+    a cell that is already empty."""
+    state, earlier, candidates = draw(state_and_updates())
+    for s, t, l in earlier:
+        update(state, s, t, l)
     used, picks = set(), []
-    for s, t, l in candidates:
+    for s, t, l in earlier + candidates:
         if (l, s) not in used and (l, t) not in used:
             used |= {(l, s), (l, t)}
             picks.append((s, t, l))
@@ -261,6 +276,28 @@ class TestBatchedUpdate:
             update(st_, s, t, l)
         assert np.array_equal(st_.card, before.card)
         assert np.array_equal(st_.minh, before.minh)
+
+    @pytest.mark.parametrize(
+        "s, t, l",
+        [
+            (-1, 0, 0),  # would empty fragment N-1
+            (0, -1, 0),
+            (0, 1, -1),
+            (3, 0, 0),
+            (0, 3, 0),
+            (0, 1, 1),
+            ([0, 1], [2, 3], [0, 0]),  # one bad transfer in a batch
+        ],
+        ids=["s_neg", "t_neg", "l_neg", "s_N", "t_N", "l_L", "batch"],
+    )
+    def test_out_of_range_index_rejected(self, s, t, l):
+        st_ = make_state([[1]], [[2]], [[3]])
+        before = st_.copy()
+        with pytest.raises(ValueError, match="outside"):
+            update(st_, s, t, l)
+        assert np.array_equal(st_.card, before.card)
+        assert np.array_equal(st_.minh, before.minh)
+        assert np.array_equal(st_.agree, before.agree)
 
     def test_other_partition_may_reuse_node(self):
         st_ = make_state([[1], [4]], [[2], [5]], [[3], [6]], n_parts=2)

@@ -152,6 +152,16 @@ def test_identical_fragments_break_ties_in_c_order(bw):
     assert_same_plan(state.card, state.minh, np.full((9, 9), bw), np.array([4]), 16.0)
 
 
+@pytest.mark.parametrize("bw", [1.0, 118.0])
+def test_identical_fragments_break_ties_in_c_order_all_to_all(bw):
+    # N = L = 12 and every pair of a partition costs the same, so each
+    # band's top ties across many (l, s) rows of C.
+    n = 12
+    sets = [[np.arange(5)] * n for _ in range(n)]
+    state = CoordinatorState.from_key_sets(sets, HashFamily(n=16, seed=1))
+    assert_same_plan(state.card, state.minh, np.full((n, n), bw), np.arange(n), 16.0)
+
+
 TOPO = Topology(n_machines=3, frags_per_machine=2, nic_bw=118.0, intra_bw=2000.0)
 N = TOPO.n_frags
 
