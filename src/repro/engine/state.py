@@ -10,6 +10,8 @@ DataFrame transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -18,6 +20,20 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.engine.aggspec import AggSpec
+from repro.minhash.hashing import MERSENNE_P
+
+
+class Origins(NamedTuple):
+    """What :func:`count_origins` reads back: ``rows[v, l]``, fragment
+    ``v``'s rows of partition ``l``, and per distinct (partition, key) its
+    ``part``, its spread key ``x = pmod(xxhash64(key), 2^31 - 1)`` and its
+    origin ``masks`` row (⌈N/64⌉ uint64 words, bit ``v`` set when fragment
+    ``v`` holds the key)."""
+
+    rows: np.ndarray  # (N, L) int64
+    part: np.ndarray  # (K,) int64
+    x: np.ndarray  # (K,) int64
+    masks: np.ndarray  # (K, ⌈N/64⌉) uint64
 
 
 @dataclass
@@ -39,6 +55,13 @@ class DistState:
     @property
     def n_parts(self) -> int:
         return len(self.dest)
+
+    @cached_property
+    def origins(self) -> Origins:
+        """The one Spark count of this state (:func:`count_origins`), run
+        on first use; the planners and the executor all read it, and a
+        state made by ``dataclasses.replace`` counts its own."""
+        return count_origins(self.df, self.n_frags, self.n_parts)
 
 
 def make_state(
@@ -66,7 +89,7 @@ def make_state(
     an argument the mode would ignore (``n_parts`` or ``partitioner``
     with ``all_to_one``, ``dest_frag`` with ``all_to_all``), and for a
     key column that ``xxhash64`` cannot hash (a map, for one): the
-    signature job and the default partitioner hash the key.
+    count job and the default partitioner hash the key.
     """
     if n_frags < 1 or (n_parts is not None and n_parts < 1):
         raise ValueError(f"need n_frags >= 1 and n_parts >= 1, got {n_frags}, {n_parts}")
@@ -119,14 +142,46 @@ def scatter_cells(
     return out
 
 
+def count_origins(df: DataFrame, n_frags: int, n_parts: int) -> Origins:
+    """Count ``df``'s rows per (frag, part) and OR its origin bits per
+    (part, key), in one ``groupingSets`` aggregate that depends on no
+    plan, read back in one Arrow batch.
+
+    ``grouping_id`` tells the two kinds of row apart, so a null key stays
+    one group, as the merge ``groupBy`` keeps it; ``x`` is hashed from the
+    grouped key. Raises ``ValueError`` for a null or out-of-range
+    ``frag``/``part``.
+    """
+    words = [f"m{w}" for w in range(-(-n_frags // 64))]
+    bits = [
+        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
+               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
+        for w, m in enumerate(words)
+    ]
+    pdf = (
+        df.groupingSets([["part", "key"], ["frag", "part"]], "frag", "part", "key")
+        .agg(F.grouping_id().alias("gid"), F.count("*").alias("rows"), *bits)
+        .withColumn("x", F.pmod(F.xxhash64("key"), F.lit(MERSENNE_P)))
+        .drop("key")
+        .toPandas()
+    )
+    per_key = pdf["gid"].to_numpy() == 0b100  # frag is aggregated over
+    own, keys = pdf[~per_key], pdf[per_key]
+    return Origins(
+        rows=scatter_cells(own, own["rows"].to_numpy(np.int64), 0, n_frags, n_parts),
+        part=keys["part"].to_numpy(np.int64),
+        x=keys["x"].to_numpy(np.int64),
+        masks=keys[words].to_numpy(np.int64).view(np.uint64),
+    )
+
+
 def preaggregate(state: DistState) -> DistState:
     """Step-2 local pre-aggregation: one aggregated row per key per
     fragment, merging rows with equal (frag, part, key).
 
     The result is hash-partitioned by ``frag`` into one Spark partition
     per task slot (at most one per fragment), each holding whole
-    fragments: the merge needs no second exchange, and the signature
-    job's ``groupBy(frag, part)`` over the persisted state needs none.
+    fragments: the merge needs no second exchange.
     """
     k = min(state.n_frags, state.df.sparkSession.sparkContext.defaultParallelism)
     merged = state.df.repartition(k, "frag").groupBy("frag", "part", "key").agg(

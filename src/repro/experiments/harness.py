@@ -16,10 +16,10 @@ import numpy as np
 from repro.baselines.loom import loom_fanin, loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
-from repro.engine.executor import ExecutionResult, count_origins, execute_plan
+from repro.engine.executor import ExecutionResult, execute_plan
 from repro.engine.state import make_state, preaggregate
 from repro.minhash.hashing import HashFamily
-from repro.minhash.signatures import compute_signatures
+from repro.minhash.signatures import derive_signatures
 from repro.netsim.bandwidth import benchmark_matrix
 from repro.netsim.topology import Topology
 from repro.workloads.base import Workload
@@ -48,12 +48,12 @@ class ResultRow:
     loom_fanin: int = 0
     #: Wall times, both measured by :func:`run_algorithm` (plans carry
     #: none). ``planning_seconds`` is the coordinator's whole step: for
-    #: GRASP the Spark signature job plus scheduling, for LOOM the
-    #: executor's count job plus ``loom_plan``, 0 for the repartition
-    #: baselines. ``schedule_seconds`` is GRASP's coordinator scheduling
-    #: alone (Eq. 8 cost matrices + Algorithm 2): the signature job's
-    #: first-run warm-up would otherwise mask the Section 5.3.3
-    #: growth-with-N trend.
+    #: GRASP the state's Spark count job, the signatures derived from it
+    #: and scheduling, for LOOM the count job plus ``loom_plan``, 0 for
+    #: the repartition baselines (their count runs in execution).
+    #: ``schedule_seconds`` is GRASP's coordinator scheduling alone
+    #: (Eq. 8 cost matrices + Algorithm 2): the count job's first-run
+    #: warm-up would otherwise mask the Section 5.3.3 growth-with-N trend.
     schedule_seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -105,32 +105,26 @@ def run_algorithm(
     planning_seconds = schedule_seconds = 0.0
     if algorithm in ("repart", "preagg_repart"):
         plan = repartition_plan(st.n_frags, st.dest, algorithm=algorithm)
-        result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
-    else:
-        st.df.persist()
-        try:
-            if algorithm == "loom":
-                t0 = time.perf_counter()
-                # LOOM is configured with accurate cardinalities (Section
-                # 5.1.1): each fragment's keys and the result's, both from
-                # the executor's count job over the one partition.
-                rows, by_part = count_origins(st)
-                cards, domain = rows[:, 0].astype(np.float64), float(by_part[0][1].sum())
-                plan = loom_plan(cards, domain, int(st.dest[0]), topo, w=workload.tuple_bytes)
-                fanin = loom_fanin(plan)
-            else:  # grasp
-                b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)
-                t0 = time.perf_counter()
-                coord = compute_signatures(
-                    st.df, family, n_frags=st.n_frags, n_parts=st.n_parts
-                )
-                t1 = time.perf_counter()
-                plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
-                schedule_seconds = time.perf_counter() - t1
-            planning_seconds = time.perf_counter() - t0
-            result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
-        finally:
-            st.df.unpersist()
+    elif algorithm == "loom":
+        t0 = time.perf_counter()
+        # LOOM is configured with accurate cardinalities (Section 5.1.1):
+        # each fragment's keys and the result's, both from the state's
+        # one count over the one partition.
+        origins = st.origins
+        cards, domain = origins.rows[:, 0].astype(np.float64), float(len(origins.part))
+        plan = loom_plan(cards, domain, int(st.dest[0]), topo, w=workload.tuple_bytes)
+        fanin = loom_fanin(plan)
+        planning_seconds = time.perf_counter() - t0
+    else:  # grasp
+        b = b_est if b_est is not None else benchmark_matrix(topo, seed=bench_seed)
+        t0 = time.perf_counter()
+        coord = derive_signatures(st.origins, family)
+        t1 = time.perf_counter()
+        plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
+        schedule_seconds = time.perf_counter() - t1
+        planning_seconds = time.perf_counter() - t0
+    # The planners' count of the state is cached on it: execution reuses it.
+    result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
     row = ResultRow(
         workload=workload.name,
         algorithm=algorithm,

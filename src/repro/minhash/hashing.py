@@ -2,12 +2,12 @@
 
 The paper's example uses ``h(x) = (a*x + b) mod p``; we use the same
 family with the Mersenne prime ``p = 2^31 - 1``. Keys are first mixed
-with Spark's ``xxhash64`` and reduced ``pmod p``, so ``a*x + b < 2^62``
-always fits in a signed 64-bit integer — this lets the signature
-computation run as plain Spark SQL ``min()`` aggregates without bigint
-overflow. :func:`spread_keys` is the numpy port of that step for int64
-keys, so the numpy :func:`signature` equals Spark's bit for bit on
-``LongType`` keys; keys of other types are hashed only in Spark.
+with Spark's ``xxhash64`` and reduced ``pmod p`` (in the state's count
+job, once per distinct key), so ``a*x + b < 2^62`` always fits in a
+signed 64-bit integer and the driver derives every slot in exact int64
+arithmetic. :func:`spread_keys` is the numpy port of that step for int64
+keys, so the numpy :func:`signature` equals the derived one bit for bit
+on ``LongType`` keys; keys of other types are hashed only in Spark.
 """
 from __future__ import annotations
 
@@ -90,7 +90,7 @@ def signature(keys: np.ndarray, family: HashFamily) -> np.ndarray:
         return np.full(family.n, EMPTY_SLOT, dtype=np.int64)
     a, b = family.params
     # a < p < 2^31 and x < p < 2^31 keep a*x + b < 2^62: exact in int64,
-    # matching what the Spark SQL expression computes.
+    # as in the derivation from Spark's x.
     x = spread_keys(keys)
     hv = (x[:, None] * a[None, :] + b[None, :]) % MERSENNE_P
     return hv.min(axis=0).astype(np.int64)

@@ -1,22 +1,55 @@
-"""Distributed minhash signature computation (Step 2 of Figure 5).
+"""Minhash signatures of every (fragment, partition) (Step 2 of Figure 5).
 
 Every fragment's local, pre-aggregated data is summarised as a distinct
-count (``Card``) and an ``n``-slot minhash signature per partition —
-computed *in Spark* as one ``groupBy(frag, part)`` with ``n`` ``min()``
-aggregates, written as one SQL array expression, plus a ``count``. Only
-the (N × L × n) signature arrays are collected to the driver (about
-1 KB per fragment-partition, as in the paper), in one Arrow read; the
-data itself never leaves the executors.
+count (``Card``) and an ``n``-slot minhash signature per partition. A
+signature is a function of its fragment's key set alone, so both come
+from the state's one Spark count (:func:`repro.engine.state.count_origins`):
+``Card`` is its per-(fragment, partition) row count, and ``MinH`` is
+derived on the driver from its per-key rows, each key's spread value
+``x`` and origin bitmask (the fragments that hold it). Only those rows,
+never the aggregated data, leave the executors.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.engine.state import scatter_cells
+from repro.engine.state import Origins, count_origins
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily
+
+
+def derive_signatures(origins: Origins, family: HashFamily) -> CoordinatorState:
+    """``Card`` and ``MinH`` from a state's :class:`Origins`.
+
+    ``MinH[v, l, j]`` is the minimum of ``(x * a_j + b_j) mod p`` over the
+    keys of partition ``l`` whose mask has bit ``v``; ``Card[v, l]`` is
+    the row count. A cell with no rows holds Card 0 and the empty-set
+    signature.
+    """
+    rows, part, x, masks = origins
+    n, n_parts = rows.shape
+    order = np.argsort(part, kind="stable")
+    part, x = part[order], x[order]
+    bits = np.unpackbits(
+        masks[order].astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little"
+    )
+    # One (fragment, key) pair per distinct key of each (fragment,
+    # partition) cell, ordered by cell, so each cell is one ``reduceat`` run.
+    v, k = np.nonzero(bits.T)
+    cell = v * n_parts + part[k]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    cells = cell[starts]
+    minh = np.full((family.n, n * n_parts), EMPTY_SLOT, dtype=np.int64)
+    a, b = family.params
+    # One slot at a time keeps temporaries O(pairs). a < p and x < p keep
+    # a*x + b < 2^62: exact in int64.
+    for j in range(family.n):
+        h = (x * a[j] + b[j]) % MERSENNE_P
+        minh[j, cells] = np.minimum.reduceat(h[k], starts)
+    # C order: the planner reads each signature's n slots contiguously.
+    minh = np.ascontiguousarray(minh.T).reshape(n, n_parts, family.n)
+    return CoordinatorState(rows.astype(np.float64), minh)
 
 
 def compute_signatures(
@@ -26,25 +59,14 @@ def compute_signatures(
     n_frags: int,
     n_parts: int,
 ) -> CoordinatorState:
-    """Collect ``Card`` and ``MinH`` for every (fragment, partition).
+    """Collect ``Card`` and ``MinH`` for every (fragment, partition) of
+    ``df``: its one Spark count, then :func:`derive_signatures`.
 
-    ``df`` must hold one row per distinct key per (frag, part) — i.e. the
-    locally pre-aggregated state (``Card`` is a plain ``count``), with
-    columns ``frag``, ``part`` and ``key``. Keys of any type ``xxhash64``
-    accepts are mixed with it and reduced mod ``p = 2^31 - 1`` so the
-    ``a*x + b`` hash expression stays exact in 64-bit arithmetic. For
-    ``LongType`` keys the result equals
-    ``CoordinatorState.from_key_sets`` bit for bit.
-
-    Missing (frag, part) combinations yield Card 0 and the empty-set
-    signature; a null or out-of-range ``frag``/``part`` raises ``ValueError``.
+    ``df`` has columns ``frag``, ``part`` and ``key``; over the locally
+    pre-aggregated state ``Card`` is the distinct-key count. Keys of any
+    type ``xxhash64`` accepts are mixed with it and reduced mod
+    ``p = 2^31 - 1``; for ``LongType`` keys the result equals
+    ``CoordinatorState.from_key_sets`` bit for bit. A null or
+    out-of-range ``frag``/``part`` raises ``ValueError``.
     """
-    a, b = family.params
-    x = f"pmod(xxhash64(`key`), {MERSENNE_P})"
-    slots = ", ".join(f"min(({x} * {aj} + {bj}) % {MERSENNE_P})" for aj, bj in zip(a, b))
-    aggs = F.expr("count(1) AS card"), F.expr(f"array({slots}) AS minh")
-    pdf = df.groupBy("frag", "part").agg(*aggs).toPandas()
-
-    card = scatter_cells(pdf, pdf["card"].to_numpy(np.float64), 0.0, n_frags, n_parts)
-    minh = np.array(pdf["minh"].tolist(), dtype=np.int64).reshape(len(pdf), family.n)
-    return CoordinatorState(card, scatter_cells(pdf, minh, EMPTY_SLOT, n_frags, n_parts))
+    return derive_signatures(count_origins(df, n_frags, n_parts), family)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.engine import state
 from repro.experiments import harness
 from repro.experiments.harness import (
     ALGORITHMS,
@@ -12,6 +13,7 @@ from repro.experiments.harness import (
     format_rows,
     run_algorithm,
 )
+from repro.minhash import signatures
 from repro.minhash.hashing import HashFamily
 from repro.netsim.topology import Topology
 from repro.oracle import assert_equivalent
@@ -81,16 +83,31 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("frag", ["n_frags", None], ids=["frag_N", "frag_null"])
     def test_failed_run_releases_cached_state(self, spark, wl, frag, algo):
-        # A row at frag = N or a null frag makes the first Spark read of
-        # the state raise a ValueError: the count job (Repart,
-        # Preagg+Repart, LOOM) or the signature job (GRASP), the last two
-        # after the pre-aggregated state is persisted.
+        # A row at frag = N or a null frag makes the state's one Spark
+        # read, its count job, raise a ValueError before any plan is
+        # made, and no run leaves a cached DataFrame behind.
         bad_frag = F.lit(wl.n_frags if frag else None).cast("int")
         bad = dataclasses.replace(wl, df=wl.df.union(wl.df.limit(1).withColumn("frag", bad_frag)))
         spark.catalog.clearCache()
         with pytest.raises(ValueError):
             run_algorithm(bad, algo, TOPO, mode="all_to_one", family=FAM)
         assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_one_count_of_the_state_per_run(self, wl, monkeypatch, algo):
+        # Planning and execution share the state's one Spark count; a
+        # second pass over the state would show up as a second call.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return count(*args)
+
+        count = state.count_origins
+        monkeypatch.setattr(state, "count_origins", counted)
+        monkeypatch.setattr(signatures, "count_origins", counted)
+        run_algorithm(wl, algo, TOPO, mode="all_to_one", family=FAM)
+        assert calls == [(wl.n_frags, 1)]
 
     @pytest.mark.parametrize(
         "compute_bound, expected",

@@ -1,16 +1,39 @@
-"""Tests that the Spark minhash-signature path matches the numpy
-reference exactly: for int64 keys the numpy port of ``xxhash64`` spreads
-keys as Spark does, so both paths give the same ``Card`` and ``MinH``."""
+"""Tests that the minhash signatures derived from the state's count job
+match two references exactly: the numpy ``from_key_sets`` (for int64
+keys the numpy port of ``xxhash64`` spreads keys as Spark does) and a
+per-(frag, part) SQL aggregate of ``n`` ``min()`` expressions."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.engine.aggspec import sum_spec
+from repro.engine.state import make_state, preaggregate, scatter_cells
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily, spread_keys
 from repro.minhash.signatures import compute_signatures
 
 FAM = HashFamily(n=16, seed=4)
+
+
+def sql_signatures(df, family, *, n_frags, n_parts):
+    """Reference: ``Card`` and ``MinH`` as one Spark ``groupBy(frag,
+    part)`` with a ``count`` and ``n`` ``min()`` aggregates over each
+    row's ``pmod(xxhash64(key), p)``."""
+    a, b = family.params
+    x = f"pmod(xxhash64(`key`), {MERSENNE_P})"
+    slots = ", ".join(f"min(({x} * {aj} + {bj}) % {MERSENNE_P})" for aj, bj in zip(a, b))
+    aggs = F.expr("count(1) AS card"), F.expr(f"array({slots}) AS minh")
+    pdf = df.groupBy("frag", "part").agg(*aggs).toPandas()
+    card = scatter_cells(pdf, pdf["card"].to_numpy(np.float64), 0.0, n_frags, n_parts)
+    minh = np.array(pdf["minh"].tolist(), dtype=np.int64).reshape(len(pdf), family.n)
+    return CoordinatorState(card, scatter_cells(pdf, minh, EMPTY_SLOT, n_frags, n_parts))
+
+
+def assert_bit_equal(got, ref):
+    assert got.minh.flags.c_contiguous  # the planner's layout
+    assert got.card.tobytes() == ref.card.tobytes()
+    assert got.minh.tobytes() == ref.minh.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +149,65 @@ class TestSparkSignatures:
         assert card[2, 1] == 0
         assert got.card.tobytes() == card.tobytes()
         assert got.minh.tobytes() == minh.tobytes()
+
+
+class TestEqualsSqlAggregate:
+    """The driver derivation equals the SQL reference bit for bit."""
+
+    FAM = HashFamily(n=100, seed=7)
+
+    def test_two_mask_words(self, spark):
+        # N = 70: fragment 63 is word 0's sign bit, fragment 64 word 1's
+        # first bit; both hold keys, some shared with fragments 0 and 69.
+        n, rng = 70, np.random.default_rng(11)
+        frag = np.concatenate([np.repeat(np.arange(n), 5), [63] * 40, [64] * 40, [0, 69] * 20])
+        keys = rng.integers(-(2**40), 2**40, 300)
+        pdf = pd.DataFrame({"frag": frag, "k": rng.choice(keys, frag.size), "v": 1.0})
+        df = spark.createDataFrame(pdf, "frag int, k long, v double")
+        st = preaggregate(
+            make_state(df, sum_spec("k", "v"), n_frags=n, mode="all_to_all", n_parts=3)
+        )
+        got = compute_signatures(st.df, self.FAM, n_frags=n, n_parts=3)
+        assert got.card[63].sum() > 0 and got.card[64].sum() > 0
+        assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=n, n_parts=3))
+        local = st.df.select("frag", "part", "key").toPandas()
+        key_sets = [
+            [local[(local.frag == v) & (local.part == l)]["key"].to_numpy() for l in range(3)]
+            for v in range(n)
+        ]
+        assert_bit_equal(got, CoordinatorState.from_key_sets(key_sets, self.FAM))
+
+    def test_all_to_all_with_empty_fragment_and_partition(self, spark):
+        # Fragment 2 holds nothing, and the partitioner never yields part 3.
+        rng = np.random.default_rng(12)
+        frag = rng.choice([0, 1, 3, 4], 500)
+        pdf = pd.DataFrame({"frag": frag, "k": rng.integers(0, 120, frag.size), "v": 1.0})
+        df = spark.createDataFrame(pdf, "frag int, k long, v double")
+        st = preaggregate(make_state(
+            df, sum_spec("k", "v"), n_frags=5, mode="all_to_all", n_parts=4,
+            partitioner=F.pmod(F.col("k"), F.lit(3)),
+        ))
+        got = compute_signatures(st.df, self.FAM, n_frags=5, n_parts=4)
+        assert got.card[2].sum() == 0 and got.card[:, 3].sum() == 0
+        assert np.all(got.minh[2] == EMPTY_SLOT) and np.all(got.minh[:, 3] == EMPTY_SLOT)
+        assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=5, n_parts=4))
+
+    @pytest.mark.parametrize(
+        "ddl, keys",
+        [
+            ("long", [None, 1, -(2**40), 7, 2**62, 3]),
+            ("double", [0.5, -0.0, 0.0, float("nan"), float("-inf"), 1e300, -3.25]),
+            ("string", ["a", "", "\u00fcn\u00efc\u00f8de", None, "a longer string key", "b"]),
+        ],
+        ids=["null", "double", "string"],
+    )
+    def test_key_types_over_preaggregated_state(self, spark, ddl, keys):
+        rng = np.random.default_rng(13)
+        rows = [(int(v), keys[int(i)], 1.0) for v, i in
+                zip(rng.integers(0, 4, 200), rng.integers(0, len(keys), 200))]
+        df = spark.createDataFrame(rows, f"frag int, k {ddl}, v double")
+        st = preaggregate(
+            make_state(df, sum_spec("k", "v"), n_frags=4, mode="all_to_all", n_parts=2)
+        )
+        got = compute_signatures(st.df, self.FAM, n_frags=4, n_parts=2)
+        assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=4, n_parts=2))
