@@ -20,7 +20,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.plan import Plan
-from repro.engine.state import DistState, finalize
+from repro.engine.state import DistState, Origins, finalize
 from repro.netsim.topology import Topology
 from repro.netsim.truecost import PlanCost, plan_cost
 
@@ -39,18 +39,20 @@ class ExecutionResult(PlanCost):
         self.final_df.unpersist()
 
 
-def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
+def _count_shipped(
+    origins: Origins, dest: np.ndarray, plan: Plan
+) -> tuple[list[list[int]], int]:
     """Tuples each transfer ships, per phase in plan order, and the tuples
-    left away from their destination after the last phase.
+    left away from their destination ``dest[l]`` after the last phase.
 
-    A driver walk over ``state.origins``: ``held[v, l]``, the origins
-    whose partition ``l`` fragment ``v`` holds, follows the plan, and
-    every ship reads the holdings before its phase. Phase 0 ships the
-    sender's own rows (raw rows for a raw state); later phases ship
-    merged partials, one per key whose mask meets the sender's.
+    A driver walk over ``origins``: ``held[v, l]``, the origins whose
+    partition ``l`` fragment ``v`` holds, follows the plan, and every
+    ship reads the holdings before its phase. Phase 0 ships the sender's
+    own rows (raw rows for a raw state); later phases ship merged
+    partials, one per key whose mask meets the sender's.
     """
-    rows, part, _, masks = state.origins
-    n, n_parts, n_words = state.n_frags, state.n_parts, masks.shape[1]
+    rows, part, _, masks = origins
+    (n, n_parts), n_words = rows.shape, masks.shape[1]
     hist, n_keys = np.unique(
         np.column_stack([part.view(np.uint64), masks]), axis=0, return_counts=True
     )
@@ -73,7 +75,7 @@ def _count_shipped(state: DistState, plan: Plan) -> tuple[list[list[int]], int]:
             held[t.src, t.part] = 0
         for t, m in moves:
             held[t.dst, t.part] |= m
-    away = held.any(axis=2) & (np.arange(n)[:, None] != state.dest[None, :])
+    away = held.any(axis=2) & (np.arange(n)[:, None] != dest[None, :])
     return shipped, sum(tuples(len(plan), h, p) for h, p in zip(*np.nonzero(away)))
 
 
@@ -97,7 +99,7 @@ def execute_plan(
         raise ValueError(
             f"topology has {topo.n_frags} fragments, state has {state.n_frags}"
         )
-    shipped, leftovers = _count_shipped(state, plan)
+    shipped, leftovers = _count_shipped(state.origins, state.dest, plan)
     if leftovers:
         raise RuntimeError(
             f"plan {plan.algorithm!r} incomplete: {leftovers} tuples not at "

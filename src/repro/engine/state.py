@@ -20,7 +20,7 @@ from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.engine.aggspec import AggSpec
-from repro.minhash.hashing import MERSENNE_P
+from repro.minhash.hashing import MERSENNE_P, spread_keys
 
 
 class Origins(NamedTuple):
@@ -34,6 +34,32 @@ class Origins(NamedTuple):
     part: np.ndarray  # (K,) int64
     x: np.ndarray  # (K,) int64
     masks: np.ndarray  # (K, ⌈N/64⌉) uint64
+
+    @classmethod
+    def from_key_sets(cls, key_sets: list[list[np.ndarray]]) -> "Origins":
+        """The Spark-free :class:`Origins` of int64 key sets, ``key_sets[v][l]``
+        holding partition ``l``'s keys on fragment ``v``: for the same
+        ``LongType`` keys, :func:`count_origins` of the pre-aggregated
+        state up to the order of its per-key rows. Raises ``ValueError``
+        for no fragments or partitions, or ragged ``key_sets``."""
+        if not key_sets or not key_sets[0]:
+            raise ValueError("key_sets needs at least one fragment and partition")
+        n, m = len(key_sets), len(key_sets[0])
+        if any(len(parts) != m for parts in key_sets):
+            raise ValueError("ragged key_sets")
+        cells = [np.unique(np.asarray(k, dtype=np.int64)) for parts in key_sets for k in parts]
+        sizes = np.array([c.size for c in cells], dtype=np.int64)
+        frag, part = np.divmod(np.repeat(np.arange(n * m), sizes), m)
+        key = np.concatenate(cells)
+        # One sort over (part, key); each run of equal pairs is one key.
+        order = np.lexsort((key, part))
+        frag, part, key = frag[order], part[order], key[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = (part[1:] != part[:-1]) | (key[1:] != key[:-1])
+        masks = np.zeros((new.sum(), -(-n // 64)), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (frag % 64).astype(np.uint64))
+        np.bitwise_or.at(masks, (np.cumsum(new) - 1, frag // 64), bit)
+        return cls(sizes.reshape(n, m), part[new], spread_keys(key[new]), masks)
 
 
 @dataclass

@@ -6,7 +6,10 @@ applies a whole phase's UPDATEs.
 ``Card`` has shape (N, L) — estimated distinct-key count of partition
 ``l`` on fragment ``v``. ``MinH`` has shape (N, L, n) — the minhash
 signature of each (fragment, partition) set; empty sets hold
-:data:`repro.minhash.hashing.EMPTY_SLOT` in every slot.
+:data:`repro.minhash.hashing.EMPTY_SLOT` in every slot. Both come from
+:func:`repro.minhash.signatures.derive_signatures`, over a Spark state's
+one count or, on the numpy reference path, over
+``Origins.from_key_sets``; this module does not build them.
 
 The state also caches, for every partition, how many signature slots
 each pair of fragments agrees on, so the Jaccard estimates of a phase
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.minhash.hashing import EMPTY_SLOT, HashFamily, signature
+from repro.minhash.hashing import EMPTY_SLOT
 
 
 @dataclass
@@ -77,29 +80,6 @@ class CoordinatorState:
         out.card, out.minh = self.card.copy(), self.minh.copy()
         out.agree, out.n_empty = self.agree.copy(), self.n_empty.copy()
         return out
-
-    @classmethod
-    def from_key_sets(
-        cls, key_sets: list[list[np.ndarray]], family: HashFamily
-    ) -> "CoordinatorState":
-        """Build exact Card and true minhash signatures from explicit key
-        sets — ``key_sets[v][l]`` is the int64 key array of partition l
-        on fragment v. The numpy reference path (tests and tiny
-        inputs): it returns the ``Card``/``MinH`` that
-        ``repro.minhash.signatures.compute_signatures`` collects for the
-        same ``LongType`` keys, bit for bit.
-        """
-        n, m = len(key_sets), len(key_sets[0])
-        card = np.zeros((n, m))
-        minh = np.full((n, m, family.n), EMPTY_SLOT, dtype=np.int64)
-        for v in range(n):
-            if len(key_sets[v]) != m:
-                raise ValueError("ragged key_sets")
-            for l in range(m):
-                keys = np.unique(np.asarray(key_sets[v][l]))
-                card[v, l] = len(keys)
-                minh[v, l] = signature(keys, family)
-        return cls(card, minh)
 
 
 def est_card(state: CoordinatorState, s, t, l):

@@ -6,8 +6,9 @@ with Spark's ``xxhash64`` and reduced ``pmod p`` (in the state's count
 job, once per distinct key), so ``a*x + b < 2^62`` always fits in a
 signed 64-bit integer and the driver derives every slot in exact int64
 arithmetic. :func:`spread_keys` is the numpy port of that step for int64
-keys, so the numpy :func:`signature` equals the derived one bit for bit
-on ``LongType`` keys; keys of other types are hashed only in Spark.
+keys, so ``Origins.from_key_sets`` spreads keys as the count job does
+and signatures derived from it equal Spark's bit for bit on ``LongType``
+keys; keys of other types are hashed only in Spark.
 """
 from __future__ import annotations
 
@@ -78,19 +79,3 @@ def _xxhash64(keys: np.ndarray) -> np.ndarray:
 def spread_keys(keys: np.ndarray) -> np.ndarray:
     """``pmod(xxhash64(key), p)`` for int64 keys, as Spark computes it."""
     return _xxhash64(np.asarray(keys, dtype=np.int64)) % MERSENNE_P
-
-
-def signature(keys: np.ndarray, family: HashFamily) -> np.ndarray:
-    """Minhash signature of a key set: ``sig[j] = min_x h_j(x)``.
-
-    An empty set yields a vector of :data:`EMPTY_SLOT`. Duplicate keys
-    are harmless (min is idempotent).
-    """
-    if len(keys) == 0:
-        return np.full(family.n, EMPTY_SLOT, dtype=np.int64)
-    a, b = family.params
-    # a < p < 2^31 and x < p < 2^31 keep a*x + b < 2^62: exact in int64,
-    # as in the derivation from Spark's x.
-    x = spread_keys(keys)
-    hv = (x[:, None] * a[None, :] + b[None, :]) % MERSENNE_P
-    return hv.min(axis=0).astype(np.int64)

@@ -7,7 +7,9 @@ from the state's one Spark count (:func:`repro.engine.state.count_origins`):
 ``Card`` is its per-(fragment, partition) row count, and ``MinH`` is
 derived on the driver from its per-key rows, each key's spread value
 ``x`` and origin bitmask (the fragments that hold it). Only those rows,
-never the aggregated data, leave the executors.
+never the aggregated data, leave the executors. The numpy reference
+path derives the same arrays from ``Origins.from_key_sets``: this is
+the one derivation of ``Card`` and ``MinH``.
 """
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ def compute_signatures(
     pre-aggregated state ``Card`` is the distinct-key count. Keys of any
     type ``xxhash64`` accepts are mixed with it and reduced mod
     ``p = 2^31 - 1``; for ``LongType`` keys the result equals
-    ``CoordinatorState.from_key_sets`` bit for bit. A null or
-    out-of-range ``frag``/``part`` raises ``ValueError``.
+    ``derive_signatures(Origins.from_key_sets(...))`` bit for bit. A
+    null or out-of-range ``frag``/``part`` raises ``ValueError``.
     """
     return derive_signatures(count_origins(df, n_frags, n_parts), family)

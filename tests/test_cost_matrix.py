@@ -4,24 +4,28 @@ import pytest
 
 from repro.core.cost_model import cost_matrix
 from repro.core.grasp import plan_aggregation
-from repro.minhash.estimate import CoordinatorState
+from repro.engine.state import Origins
 from repro.minhash.hashing import HashFamily
+from repro.minhash.signatures import derive_signatures
 
 FAM = HashFamily(n=100, seed=1)
 # One paper "time unit": tuples of 1e6 bytes at 1 MB/s.
 W = 1e6
 
 
+def state_of(key_sets):
+    return derive_signatures(Origins.from_key_sets(key_sets), FAM)
+
+
 def fig1_state():
     """Figure 1: v0 destination (empty), v1={A,B,C}, v2={D,E,F}, v3={D,E,F}."""
-    return CoordinatorState.from_key_sets(
+    return state_of(
         [
             [np.array([], dtype=np.int64)],
             [np.array([1, 2, 3])],
             [np.array([4, 5, 6])],
             [np.array([4, 5, 6])],
-        ],
-        FAM,
+        ]
     )
 
 
@@ -59,29 +63,24 @@ class TestFigure7:
 
 class TestRules:
     def test_empty_receiver_blocked_unless_destination(self):
-        state = CoordinatorState.from_key_sets(
+        state = state_of(
             [
                 [np.array([], dtype=np.int64)],
                 [np.array([1, 2])],
                 [np.array([], dtype=np.int64)],
-            ],
-            FAM,
+            ]
         )
         c = cost_matrix(state, np.ones((3, 3)), np.array([0]), w=W)[0]
         assert np.isfinite(c[1, 0])  # to empty destination: allowed
         assert np.isinf(c[1, 2])  # to empty non-destination: blocked
 
     def test_empty_sender_blocked(self):
-        state = CoordinatorState.from_key_sets(
-            [[np.array([1])], [np.array([], dtype=np.int64)], [np.array([2])]], FAM
-        )
+        state = state_of([[np.array([1])], [np.array([], dtype=np.int64)], [np.array([2])]])
         c = cost_matrix(state, np.ones((3, 3)), np.array([0]), w=W)[0]
         assert np.all(np.isinf(c[1, :]))
 
     def test_destination_never_sends(self):
-        state = CoordinatorState.from_key_sets(
-            [[np.array([1, 2])], [np.array([3])]], FAM
-        )
+        state = state_of([[np.array([1, 2])], [np.array([3])]])
         c = cost_matrix(state, np.ones((2, 2)), np.array([0]), w=W)[0]
         assert np.all(np.isinf(c[0, :]))
 
@@ -95,25 +94,23 @@ class TestRules:
     def test_asymmetric_matrix(self):
         # v2 holds 3 keys, v3 holds 1 key (subset): C[2,3] != C[3,2]
         # because the transfer-cost terms differ.
-        state = CoordinatorState.from_key_sets(
+        state = state_of(
             [
                 [np.array([], dtype=np.int64)],
                 [np.array([9])],
                 [np.array([4, 5, 6])],
                 [np.array([4])],
-            ],
-            FAM,
+            ]
         )
         c = cost_matrix(state, np.ones((4, 4)), np.array([0]), w=W)[0]
         assert c[2, 3] != c[3, 2]
 
     def test_multi_partition_shapes(self):
-        state = CoordinatorState.from_key_sets(
+        state = state_of(
             [
                 [np.array([1]), np.array([2])],
                 [np.array([3]), np.array([4])],
-            ],
-            FAM,
+            ]
         )
         c = cost_matrix(state, np.ones((2, 2)), np.array([0, 1]), w=W)
         assert c.shape == (2, 2, 2)

@@ -9,8 +9,9 @@ from repro.core.grasp import aggregation_done, plan_aggregation, select_phase
 from repro.core.cost_model import cost_matrix
 from repro.core.plan import Plan
 from repro.core.simulate import simulate_plan
-from repro.minhash.estimate import CoordinatorState
+from repro.engine.state import Origins
 from repro.minhash.hashing import HashFamily
+from repro.minhash.signatures import derive_signatures
 from repro.netsim.topology import Topology
 
 FAM = HashFamily(n=100, seed=1)
@@ -18,13 +19,11 @@ W = 1e6  # 1 tuple == 1 second at B = 1 MB/s
 
 
 def state_from(sets_per_frag, n_parts=1, fam=FAM):
-    return CoordinatorState.from_key_sets(
-        [
-            [np.array(sorted(parts[l]), dtype=np.int64) for l in range(n_parts)]
-            for parts in sets_per_frag
-        ],
-        fam,
-    )
+    key_sets = [
+        [np.array(sorted(parts[l]), dtype=np.int64) for l in range(n_parts)]
+        for parts in sets_per_frag
+    ]
+    return derive_signatures(Origins.from_key_sets(key_sets), fam)
 
 
 def fig1_sets():
@@ -201,13 +200,7 @@ class TestPlannerProperties:
         sets, dest = inst
         n, m = len(sets), len(dest)
         fam = HashFamily(n=16, seed=2)
-        st_ = CoordinatorState.from_key_sets(
-            [
-                [np.array(sorted(parts[l]), dtype=np.int64) for l in range(m)]
-                for parts in sets
-            ],
-            fam,
-        )
+        st_ = state_from(sets, m, fam)
         plan = plan_aggregation(st_, np.ones((n, n)), dest, w=W)
         plan.validate()
         topo = Topology(n_machines=n, nic_bw=1.0, intra_bw=1.0)
@@ -224,12 +217,6 @@ class TestPlannerProperties:
         sets, dest = inst
         n, m = len(sets), len(dest)
         fam = HashFamily(n=8, seed=5)
-        st_ = CoordinatorState.from_key_sets(
-            [
-                [np.array(sorted(parts[l]), dtype=np.int64) for l in range(m)]
-                for parts in sets
-            ],
-            fam,
-        )
+        st_ = state_from(sets, m, fam)
         plan = plan_aggregation(st_, np.ones((n, n)), dest, w=W)
         assert len(plan) <= n * m

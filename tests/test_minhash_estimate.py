@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.state import Origins
 from repro.minhash.estimate import CoordinatorState, est_card, update
 from repro.minhash.hashing import EMPTY_SLOT, HashFamily
+from repro.minhash.signatures import derive_signatures
 from tests import reference_planner as ref
 
 FAM = HashFamily(n=100, seed=9)
 
 
-def make_state(*key_lists, n_parts=1):
+def make_state(*key_lists, n_parts=1, family=FAM):
     """State with one partition per fragment list (or several)."""
     sets = [
         [np.array(key_lists[v][l], dtype=np.int64) for l in range(n_parts)]
         for v in range(len(key_lists))
     ]
-    return CoordinatorState.from_key_sets(sets, FAM)
+    return derive_signatures(Origins.from_key_sets(sets), family)
 
 
 class TestConstruction:
@@ -115,9 +117,7 @@ class TestUpdate:
         s = list(range(0, 40))
         t = list(range(20, 70))
         st_ = make_state([s], [t])
-        ref = CoordinatorState.from_key_sets(
-            [[np.array(sorted(set(s) | set(t)))]], FAM
-        )
+        ref = make_state([sorted(set(s) | set(t))])
         update(st_, 0, 1, 0)
         np.testing.assert_array_equal(st_.minh[1, 0], ref.minh[0, 0])
 
@@ -159,9 +159,7 @@ class TestAllPairs:
     @settings(max_examples=30, deadline=None)
     def test_estimate_within_bounds_hypothesis(self, s, t):
         fam = HashFamily(n=32, seed=3)
-        st_ = CoordinatorState.from_key_sets(
-            [[np.array(sorted(s))], [np.array(sorted(t))]], fam
-        )
+        st_ = make_state([sorted(s)], [sorted(t)], family=fam)
         e = est_card(st_, 0, 1, 0)
         assert max(len(s), len(t)) - 1e-9 <= e <= len(s) + len(t) + 1e-9
 
@@ -176,7 +174,7 @@ def state_and_updates(draw):
     keys = st.lists(st.integers(min_value=0, max_value=6), max_size=5)
     sets = [[np.array(draw(keys), dtype=np.int64) for _ in range(m)] for _ in range(n)]
     fam = HashFamily(n=draw(st.integers(min_value=1, max_value=12)), seed=4)
-    state = CoordinatorState.from_key_sets(sets, fam)
+    state = derive_signatures(Origins.from_key_sets(sets), fam)
     slot = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, fam.n - 1))
     holes = draw(st.lists(slot, max_size=8))
     if holes:

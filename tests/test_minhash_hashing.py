@@ -1,16 +1,12 @@
-"""Unit tests for the minhash hash family and signature computation."""
+"""Unit tests for the minhash hash family, the key spreading, and the
+reference signature in ``tests/reference_minhash.py``."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minhash.hashing import (
-    EMPTY_SLOT,
-    MERSENNE_P,
-    HashFamily,
-    signature,
-    spread_keys,
-)
+from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily, spread_keys
+from tests.reference_minhash import signature
 
 
 class TestHashFamily:

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core import grasp
 from repro.core.cost_model import cost_matrix
-from repro.engine.state import make_state, preaggregate
+from repro.engine.state import Origins, make_state, preaggregate
 from repro.experiments.harness import run_algorithm
 from repro.experiments.tables import FAMILY
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import HashFamily
+from repro.minhash.signatures import derive_signatures
 from repro.netsim.bandwidth import benchmark_matrix
 from repro.netsim.topology import Topology
 from repro.workloads.modis import modis_workload
@@ -54,7 +55,7 @@ def tie_heavy_instance(draw):
     keys = st.lists(st.integers(min_value=0, max_value=universe - 1), max_size=universe)
     sets = [[np.array(draw(keys), dtype=np.int64) for _ in range(m)] for _ in range(n)]
     fam = HashFamily(n=draw(st.sampled_from([4, 16, 100])), seed=draw(st.integers(0, 3)))
-    state = CoordinatorState.from_key_sets(sets, fam)
+    state = derive_signatures(Origins.from_key_sets(sets), fam)
     if draw(st.booleans()):
         bandwidth = np.ones((n, n))
     else:
@@ -82,7 +83,7 @@ class TestPlanEquality:
             [g.choice(60, size=g.integers(0, 25), replace=False) for _ in range(m)]
             for _ in range(n)
         ]
-        state = CoordinatorState.from_key_sets(sets, HashFamily(n=100, seed=7))
+        state = derive_signatures(Origins.from_key_sets(sets), HashFamily(n=100, seed=7))
         bandwidth = np.where(g.random((n, n)) < 0.5, 118.0, 2000.0)
         # Count the bands each phase cuts: one np.partition call per band.
         bands = []
@@ -148,7 +149,7 @@ def test_empty_phase_matches_reference():
 def test_identical_fragments_break_ties_in_c_order(bw):
     # Every pair costs the same, so the plan is fixed by tie-breaking alone.
     sets = [[np.arange(5)] for _ in range(9)]
-    state = CoordinatorState.from_key_sets(sets, HashFamily(n=16, seed=1))
+    state = derive_signatures(Origins.from_key_sets(sets), HashFamily(n=16, seed=1))
     assert_same_plan(state.card, state.minh, np.full((9, 9), bw), np.array([4]), 16.0)
 
 
@@ -158,7 +159,7 @@ def test_identical_fragments_break_ties_in_c_order_all_to_all(bw):
     # band's top ties across many (l, s) rows of C.
     n = 12
     sets = [[np.arange(5)] * n for _ in range(n)]
-    state = CoordinatorState.from_key_sets(sets, HashFamily(n=16, seed=1))
+    state = derive_signatures(Origins.from_key_sets(sets), HashFamily(n=16, seed=1))
     assert_same_plan(state.card, state.minh, np.full((n, n), bw), np.arange(n), 16.0)
 
 
@@ -212,7 +213,7 @@ def test_table_workload_plan_matches_reference(spark, name):
     sets = [[np.empty(0, dtype=np.int64)] * st.n_parts for _ in range(N)]
     for (v, l), keys in st.df.select("frag", "part", "key").toPandas().groupby(["frag", "part"]):
         sets[v][l] = keys["key"].to_numpy()
-    coord = CoordinatorState.from_key_sets(sets, FAMILY)
+    coord = derive_signatures(Origins.from_key_sets(sets), FAMILY)
     ref_plan, _, _ = ref.plan_aggregation(
         coord.card, coord.minh, benchmark_matrix(TOPO, seed=0), st.dest, w=wl.tuple_bytes
     )

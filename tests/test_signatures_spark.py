@@ -1,17 +1,19 @@
 """Tests that the minhash signatures derived from the state's count job
-match two references exactly: the numpy ``from_key_sets`` (for int64
-keys the numpy port of ``xxhash64`` spreads keys as Spark does) and a
-per-(frag, part) SQL aggregate of ``n`` ``min()`` expressions."""
+match two references exactly: the same derivation over the numpy
+``Origins.from_key_sets`` (for int64 keys the numpy port of ``xxhash64``
+spreads keys as Spark does) and a per-(frag, part) SQL aggregate of
+``n`` ``min()`` expressions; and that the count job's ``Origins`` equal
+``Origins.from_key_sets``."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.engine.aggspec import sum_spec
-from repro.engine.state import make_state, preaggregate, scatter_cells
+from repro.engine.state import Origins, make_state, preaggregate, scatter_cells
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily, spread_keys
-from repro.minhash.signatures import compute_signatures
+from repro.minhash.signatures import compute_signatures, derive_signatures
 
 FAM = HashFamily(n=16, seed=4)
 
@@ -34,6 +36,27 @@ def assert_bit_equal(got, ref):
     assert got.minh.flags.c_contiguous  # the planner's layout
     assert got.card.tobytes() == ref.card.tobytes()
     assert got.minh.tobytes() == ref.minh.tobytes()
+
+
+def local_key_sets(st):
+    """The state's key sets, ``[frag][part]``, read back from Spark."""
+    local = st.df.select("frag", "part", "key").toPandas()
+    cell = local.groupby(["frag", "part"])["key"]
+    sets = [[np.empty(0, dtype=np.int64)] * st.n_parts for _ in range(st.n_frags)]
+    for (v, l), keys in cell:
+        sets[v][l] = keys.to_numpy()
+    return sets
+
+
+def assert_same_origins(got, ref):
+    """Equal ``Origins`` once both are sorted by (part, x, masks): the
+    count job returns its per-key rows in no set order."""
+    assert got.rows.dtype == ref.rows.dtype and np.array_equal(got.rows, ref.rows)
+    for o in (got, ref):
+        assert (o.part.dtype, o.x.dtype, o.masks.dtype) == (np.int64, np.int64, np.uint64)
+    got_order, ref_order = (np.lexsort((*o.masks.T[::-1], o.x, o.part)) for o in (got, ref))
+    for a, b in zip(got[1:], ref[1:]):
+        np.testing.assert_array_equal(a[got_order], b[ref_order])
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +99,7 @@ class TestSparkSignatures:
             [pdf[(pdf.frag == v) & (pdf.part == l)]["key"].to_numpy() for l in range(2)]
             for v in range(3)
         ]
-        ref = CoordinatorState.from_key_sets(key_sets, fam)
+        ref = derive_signatures(Origins.from_key_sets(key_sets), fam)
         assert got.card.tobytes() == ref.card.tobytes()
         assert got.minh.tobytes() == ref.minh.tobytes()
 
@@ -170,12 +193,9 @@ class TestEqualsSqlAggregate:
         got = compute_signatures(st.df, self.FAM, n_frags=n, n_parts=3)
         assert got.card[63].sum() > 0 and got.card[64].sum() > 0
         assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=n, n_parts=3))
-        local = st.df.select("frag", "part", "key").toPandas()
-        key_sets = [
-            [local[(local.frag == v) & (local.part == l)]["key"].to_numpy() for l in range(3)]
-            for v in range(n)
-        ]
-        assert_bit_equal(got, CoordinatorState.from_key_sets(key_sets, self.FAM))
+        origins = Origins.from_key_sets(local_key_sets(st))
+        assert_bit_equal(got, derive_signatures(origins, self.FAM))
+        assert_same_origins(st.origins, origins)
 
     def test_all_to_all_with_empty_fragment_and_partition(self, spark):
         # Fragment 2 holds nothing, and the partitioner never yields part 3.
@@ -191,6 +211,9 @@ class TestEqualsSqlAggregate:
         assert got.card[2].sum() == 0 and got.card[:, 3].sum() == 0
         assert np.all(got.minh[2] == EMPTY_SLOT) and np.all(got.minh[:, 3] == EMPTY_SLOT)
         assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=5, n_parts=4))
+        origins = Origins.from_key_sets(local_key_sets(st))
+        assert_bit_equal(got, derive_signatures(origins, self.FAM))
+        assert_same_origins(st.origins, origins)
 
     @pytest.mark.parametrize(
         "ddl, keys",

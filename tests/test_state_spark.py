@@ -191,7 +191,8 @@ class TestFragmentClustering:
         b = np.full((self.N_FRAGS, self.N_FRAGS), 118.0)
         grasp = plan_aggregation(ref, b, flat.dest, w=16.0)
         for plan in (grasp, repartition_plan(self.N_FRAGS, flat.dest)):
-            assert _count_shipped(clustered, plan) == _count_shipped(flat, plan)
+            counts = [_count_shipped(st.origins, st.dest, plan) for st in states]
+            assert counts[0] == counts[1]
 
 
 class TestFinalize:
