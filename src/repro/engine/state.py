@@ -6,6 +6,16 @@ fragment (``frag`` column) and a partition (``part`` column — the
 GROUP-BY-key hash class whose destination the mapping ``M`` fixes).
 All state mutation (pre-aggregation, transfers) happens through Catalyst
 DataFrame transformations.
+
+Plans read two counts of a state, each one lazily cached Spark job:
+``DistState.rows``, the row count of every (fragment, partition), and
+``DistState.keys``, per distinct (partition, key) its spread value and
+origin-fragment bitmask. A local merge changes no key's set of origin
+fragments, so a state made by :func:`preaggregate` counts its keys from
+the rows it merges, with no merge shuffle, and its row counts are the
+per-cell popcounts of those masks: one job. A raw state's row counts
+are one ``groupBy(frag, part).count()``, and Repart's complete single
+phase reads nothing else.
 """
 from __future__ import annotations
 
@@ -23,12 +33,20 @@ from repro.engine.aggspec import AggSpec
 from repro.minhash.hashing import MERSENNE_P, spread_keys
 
 
+class Keys(NamedTuple):
+    """What :func:`count_keys` reads back: per distinct (partition, key)
+    its ``part``, its spread key ``x = pmod(xxhash64(key), 2^31 - 1)`` and
+    its origin ``masks`` row (⌈N/64⌉ uint64 words, bit ``v`` set when
+    fragment ``v`` holds the key)."""
+
+    part: np.ndarray  # (K,) int64
+    x: np.ndarray  # (K,) int64
+    masks: np.ndarray  # (K, ⌈N/64⌉) uint64
+
+
 class Origins(NamedTuple):
     """What :func:`count_origins` reads back: ``rows[v, l]``, fragment
-    ``v``'s rows of partition ``l``, and per distinct (partition, key) its
-    ``part``, its spread key ``x = pmod(xxhash64(key), 2^31 - 1)`` and its
-    origin ``masks`` row (⌈N/64⌉ uint64 words, bit ``v`` set when fragment
-    ``v`` holds the key)."""
+    ``v``'s rows of partition ``l``, then the fields of :class:`Keys`."""
 
     rows: np.ndarray  # (N, L) int64
     part: np.ndarray  # (K,) int64
@@ -70,6 +88,10 @@ class DistState:
     grouping column, any hashable type), plus one column per partial
     aggregate of ``spec``. ``dest`` is the partition-to-destination
     mapping ``M``; ``tuple_bytes`` is the wire width ``w`` of one tuple.
+    ``merged_from``, set by :func:`preaggregate`, is the rows ``df``
+    merges: the state's keys are counted from them. A state made by
+    ``dataclasses.replace`` runs its own counts, over the ``merged_from``
+    it keeps unless that is replaced too.
     """
 
     df: DataFrame
@@ -77,17 +99,32 @@ class DistState:
     n_frags: int
     dest: np.ndarray
     tuple_bytes: float = 16.0
+    merged_from: DataFrame | None = None
 
     @property
     def n_parts(self) -> int:
         return len(self.dest)
 
     @cached_property
+    def keys(self) -> Keys:
+        """The per-key count (:func:`count_keys`), run on first use, over
+        ``merged_from`` when the state has it."""
+        source = self.df if self.merged_from is None else self.merged_from
+        return count_keys(source, self.n_frags, self.n_parts)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """``rows[v, l]``, run on first use: each cell's mask popcount
+        for a pre-aggregated state (no job beyond :attr:`keys`), else
+        :func:`count_rows`."""
+        if self.merged_from is None:
+            return count_rows(self.df, self.n_frags, self.n_parts)
+        return popcount_cells(self.keys.part, self.keys.masks, self.n_frags, self.n_parts)
+
+    @property
     def origins(self) -> Origins:
-        """The one Spark count of this state (:func:`count_origins`), run
-        on first use; the planners and the executor all read it, and a
-        state made by ``dataclasses.replace`` counts its own."""
-        return count_origins(self.df, self.n_frags, self.n_parts)
+        """:attr:`rows` and :attr:`keys` together, what the planners read."""
+        return Origins(self.rows, *self.keys)
 
 
 def make_state(
@@ -147,6 +184,11 @@ def make_state(
     return DistState(df=out, spec=spec, n_frags=n_frags, dest=dest, tuple_bytes=tuple_bytes)
 
 
+def _outside(v: np.ndarray, n: int) -> np.ndarray:
+    """Which of ``v`` (float, NaN for null) lie outside ``[0, n)``."""
+    return ~((0 <= v) & (v < n))
+
+
 def scatter_cells(
     pdf: pd.DataFrame, values: np.ndarray, fill, n_frags: int, n_parts: int
 ) -> np.ndarray:
@@ -158,7 +200,7 @@ def scatter_cells(
     which would otherwise wrap around (negative) or fail later.
     """
     v, l = pdf["frag"].to_numpy(np.float64), pdf["part"].to_numpy(np.float64)
-    bad = ~((0 <= v) & (v < n_frags) & (0 <= l) & (l < n_parts))  # NaN (null) is bad
+    bad = _outside(v, n_frags) | _outside(l, n_parts)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"(frag, part) = ({v[i]:g}, {l[i]:g}) out of declared range: "
@@ -168,6 +210,72 @@ def scatter_cells(
     return out
 
 
+def origin_bits(masks: np.ndarray, n_frags: int) -> np.ndarray:
+    """``(K, n_frags)`` uint8: bit ``v`` of every origin mask row."""
+    return np.unpackbits(
+        np.ascontiguousarray(masks, dtype="<u8").view(np.uint8), axis=1, count=n_frags,
+        bitorder="little",
+    )
+
+
+def popcount_cells(part: np.ndarray, masks: np.ndarray, n_frags: int, n_parts: int) -> np.ndarray:
+    """``(n_frags, n_parts)`` int64: the keys of partition ``l`` whose mask
+    has bit ``v``, which is ``rows[v, l]`` of a pre-aggregated state."""
+    k, v = np.nonzero(origin_bits(masks, n_frags))
+    cells = np.bincount(v * n_parts + part[k], minlength=n_frags * n_parts)
+    return cells.astype(np.int64).reshape(n_frags, n_parts)
+
+
+def _mask_words(n_frags: int) -> tuple[list[str], list[Column]]:
+    """The ⌈N/64⌉ mask word names and the ``bit_or`` aggregates that OR
+    each row's origin bit into them."""
+    words = [f"m{w}" for w in range(-(-n_frags // 64))]
+    return words, [
+        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
+               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
+        for w, m in enumerate(words)
+    ]
+
+
+def count_rows(df: DataFrame, n_frags: int, n_parts: int) -> np.ndarray:
+    """``rows[v, l]``: ``df``'s rows per (frag, part), one
+    ``groupBy(frag, part).count()``. Raises ``ValueError`` for a null or
+    out-of-range ``frag``/``part``."""
+    pdf = df.groupBy("frag", "part").count().toPandas()
+    return scatter_cells(pdf, pdf["count"].to_numpy(np.int64), 0, n_frags, n_parts)
+
+
+def count_keys(df: DataFrame, n_frags: int, n_parts: int) -> Keys:
+    """OR ``df``'s origin bits per (part, key) in one ``groupBy``, read
+    back in one Arrow batch; a null key stays one group, and ``x`` is
+    hashed from the grouped key.
+
+    Raises ``ValueError`` for a null or out-of-range ``frag``, which the
+    aggregate flags per key, and for a null or out-of-range ``part``,
+    checked on the driver.
+    """
+    words, bits = _mask_words(n_frags)
+    bad = F.expr(f"bool_or(frag IS NULL OR frag < 0 OR frag >= {n_frags})")
+    pdf = (
+        df.groupBy("part", "key")
+        .agg(*bits, bad.alias("bad"))
+        .withColumn("x", F.pmod(F.xxhash64("key"), F.lit(MERSENNE_P)))
+        .drop("key")
+        .toPandas()
+    )
+    if pdf["bad"].any():
+        raise ValueError(f"a frag out of declared range: null or outside [0, {n_frags})")
+    part = pdf["part"].to_numpy(np.float64)
+    if (outside := _outside(part, n_parts)).any():
+        raise ValueError(f"part = {part[np.argmax(outside)]:g} out of declared range: "
+                         f"outside [0, {n_parts})")
+    return Keys(
+        part=part.astype(np.int64),
+        x=pdf["x"].to_numpy(np.int64),
+        masks=pdf[words].to_numpy(np.int64).view(np.uint64),
+    )
+
+
 def count_origins(df: DataFrame, n_frags: int, n_parts: int) -> Origins:
     """Count ``df``'s rows per (frag, part) and OR its origin bits per
     (part, key), in one ``groupingSets`` aggregate that depends on no
@@ -175,15 +283,10 @@ def count_origins(df: DataFrame, n_frags: int, n_parts: int) -> Origins:
 
     ``grouping_id`` tells the two kinds of row apart, so a null key stays
     one group, as the merge ``groupBy`` keeps it; ``x`` is hashed from the
-    grouped key. Raises ``ValueError`` for a null or out-of-range
-    ``frag``/``part``.
+    grouped key. Over un-merged rows ``rows`` counts raw rows. Raises
+    ``ValueError`` for a null or out-of-range ``frag``/``part``.
     """
-    words = [f"m{w}" for w in range(-(-n_frags // 64))]
-    bits = [
-        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
-               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
-        for w, m in enumerate(words)
-    ]
+    words, bits = _mask_words(n_frags)
     pdf = (
         df.groupingSets([["part", "key"], ["frag", "part"]], "frag", "part", "key")
         .agg(F.grouping_id().alias("gid"), F.count("*").alias("rows"), *bits)
@@ -207,13 +310,14 @@ def preaggregate(state: DistState) -> DistState:
 
     The result is hash-partitioned by ``frag`` into one Spark partition
     per task slot (at most one per fragment), each holding whole
-    fragments: the merge needs no second exchange.
+    fragments: the merge needs no second exchange. It keeps the state's
+    rows as ``merged_from``, which its counts read instead of the merge.
     """
     k = min(state.n_frags, state.df.sparkSession.sparkContext.defaultParallelism)
     merged = state.df.repartition(k, "frag").groupBy("frag", "part", "key").agg(
         *[p.merge_col() for p in state.spec.partials]
     )
-    return replace(state, df=merged)
+    return replace(state, df=merged, merged_from=state.df)
 
 
 def finalize(state: DistState) -> DataFrame:

@@ -48,8 +48,9 @@ class ResultRow:
     loom_fanin: int = 0
     #: Wall times, both measured by :func:`run_algorithm` (plans carry
     #: none). ``planning_seconds`` is the coordinator's whole step: for
-    #: GRASP the state's Spark count job, the signatures derived from it
-    #: and scheduling, for LOOM the count job plus ``loom_plan``, 0 for
+    #: GRASP the pre-aggregated state's one Spark count, its per-key job
+    #: (``DistState.keys``), the signatures derived from it and
+    #: scheduling, for LOOM that per-key job plus ``loom_plan``, 0 for
     #: the repartition baselines (their count runs in execution).
     #: ``schedule_seconds`` is GRASP's coordinator scheduling alone
     #: (Eq. 8 cost matrices + Algorithm 2): the count job's first-run
@@ -81,7 +82,7 @@ def run_algorithm(
     :data:`RAW_MBPS` for Repart, which alone ships raw tuples, and at
     :data:`PREAGG_MBPS` for the others.
     ``keep_result`` returns the full :class:`ExecutionResult` (tests use
-    it for the oracle check); otherwise the final DataFrame is dropped.
+    it for the oracle check); otherwise the result is dropped unbuilt.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -109,9 +110,8 @@ def run_algorithm(
         t0 = time.perf_counter()
         # LOOM is configured with accurate cardinalities (Section 5.1.1):
         # each fragment's keys and the result's, both from the state's
-        # one count over the one partition.
-        origins = st.origins
-        cards, domain = origins.rows[:, 0].astype(np.float64), float(len(origins.part))
+        # one per-key count over the one partition.
+        cards, domain = st.rows[:, 0].astype(np.float64), float(len(st.keys.part))
         plan = loom_plan(cards, domain, int(st.dest[0]), topo, w=workload.tuple_bytes)
         fanin = loom_fanin(plan)
         planning_seconds = time.perf_counter() - t0
@@ -123,7 +123,8 @@ def run_algorithm(
         plan = plan_aggregation(coord, b, st.dest, w=workload.tuple_bytes)
         schedule_seconds = time.perf_counter() - t1
         planning_seconds = time.perf_counter() - t0
-    # The planners' count of the state is cached on it: execution reuses it.
+    # The planners' count of the state is cached on it: execution reuses
+    # it. The result is built only if a caller reads ``final_df``.
     result = execute_plan(st, plan, topo, recv_mbps=recv_mbps)
     row = ResultRow(
         workload=workload.name,

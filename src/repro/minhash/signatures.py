@@ -3,20 +3,24 @@
 Every fragment's local, pre-aggregated data is summarised as a distinct
 count (``Card``) and an ``n``-slot minhash signature per partition. A
 signature is a function of its fragment's key set alone, so both come
-from the state's one Spark count (:func:`repro.engine.state.count_origins`):
-``Card`` is its per-(fragment, partition) row count, and ``MinH`` is
-derived on the driver from its per-key rows, each key's spread value
-``x`` and origin bitmask (the fragments that hold it). Only those rows,
-never the aggregated data, leave the executors. The numpy reference
-path derives the same arrays from ``Origins.from_key_sets``: this is
-the one derivation of ``Card`` and ``MinH``.
+from the state's :class:`~repro.engine.state.Origins`. For a GRASP
+query that is one Spark job, the pre-aggregated state's per-key count
+(``DistState.keys``, a ``groupBy(part, key)`` over the rows the state
+merges): ``MinH`` is derived on the driver from its per-key rows, each
+key's spread value ``x`` and origin bitmask (the fragments that hold
+it), and ``Card`` is each cell's mask popcount. Only those rows, never
+the aggregated data, leave the executors. The numpy reference path
+derives the same arrays from ``Origins.from_key_sets``: this is the one
+derivation of ``Card`` and ``MinH``. :func:`compute_signatures` runs
+the older one-job count, :func:`~repro.engine.state.count_origins`,
+over any ``(frag, part, key)`` DataFrame.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.engine.state import Origins, count_origins
+from repro.engine.state import Origins, count_origins, origin_bits
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily
 
@@ -33,9 +37,7 @@ def derive_signatures(origins: Origins, family: HashFamily) -> CoordinatorState:
     n, n_parts = rows.shape
     order = np.argsort(part, kind="stable")
     part, x = part[order], x[order]
-    bits = np.unpackbits(
-        masks[order].astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little"
-    )
+    bits = origin_bits(masks[order], n)
     # One (fragment, key) pair per distinct key of each (fragment,
     # partition) cell, ordered by cell, so each cell is one ``reduceat`` run.
     v, k = np.nonzero(bits.T)

@@ -1,5 +1,6 @@
 """Tests for the experiment harness plumbing."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -96,18 +97,45 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_one_count_of_the_state_per_run(self, wl, monkeypatch, algo):
         # Planning and execution share the state's one Spark count; a
-        # second pass over the state would show up as a second call.
+        # second pass over the state would show up as a second call, and
+        # Repart's complete single phase reads the row count alone.
         calls = []
 
-        def counted(*args):
-            calls.append(args[1:])
-            return count(*args)
+        def wrap(name):
+            count = getattr(state, name)
 
-        count = state.count_origins
-        monkeypatch.setattr(state, "count_origins", counted)
-        monkeypatch.setattr(signatures, "count_origins", counted)
+            def counted(*args, **kwargs):
+                bound = inspect.signature(count).bind(*args, **kwargs).arguments
+                calls.append((name, {k: v for k, v in bound.items() if k != "df"}))
+                return count(*args, **kwargs)
+
+            return counted
+
+        for name in ("count_rows", "count_keys", "count_origins"):
+            monkeypatch.setattr(state, name, wrap(name))
+        monkeypatch.setattr(signatures, "count_origins", state.count_origins)
         run_algorithm(wl, algo, TOPO, mode="all_to_one", family=FAM)
-        assert calls == [(wl.n_frags, 1)]
+        count = "count_rows" if algo == "repart" else "count_keys"
+        assert calls == [(count, {"n_frags": wl.n_frags, "n_parts": 1})]
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("frag", [4, -1, None], ids=["frag_N", "frag_negative", "frag_null"])
+    def test_out_of_range_frag_rejected(self, wl, algo, frag):
+        # Whichever count the algorithm runs, a row no fragment owns raises.
+        bad_frag = F.lit(frag).cast("int")
+        bad = dataclasses.replace(wl, df=wl.df.union(wl.df.limit(1).withColumn("frag", bad_frag)))
+        with pytest.raises(ValueError, match="out of declared range"):
+            run_algorithm(bad, algo, TOPO, mode="all_to_one", family=FAM)
+
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHMS if a != "loom"])
+    @pytest.mark.parametrize("part", [4, None], ids=["part_L", "part_null"])
+    def test_out_of_range_partitioner_rejected(self, wl, algo, part):
+        # A custom partitioner is all-to-all only, which LOOM does not run.
+        k = F.col(wl.spec.key)
+        skewed = F.when(k == F.lit(wl.df.first()[wl.spec.key]), F.lit(part)).otherwise(0)
+        bad = dataclasses.replace(wl, partitioner=skewed)
+        with pytest.raises(ValueError, match="out of declared range"):
+            run_algorithm(bad, algo, TOPO, mode="all_to_all", family=FAM)
 
     @pytest.mark.parametrize(
         "compute_bound, expected",

@@ -1,7 +1,8 @@
 """Spark-free tests of the driver-side model: ``Origins.from_key_sets``,
 the one derivation of ``Card``/``MinH`` over it, checked cell by cell
 against ``tests/reference_minhash.py``, and the executor's plan walk
-(``_count_shipped``), checked against the exact simulator."""
+(``_count_shipped``), checked against the exact simulator and, for a
+complete single phase, without the per-key arrays."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from repro.baselines.loom import loom_plan
 from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
+from repro.core.plan import Phase, Plan, Transfer
 from repro.core.simulate import simulate_plan
 from repro.engine.executor import _count_shipped
-from repro.engine.state import Origins
+from repro.engine.state import Origins, popcount_cells
 from repro.minhash.hashing import HashFamily, spread_keys
 from repro.minhash.signatures import derive_signatures
 from repro.netsim.bandwidth import benchmark_matrix
@@ -67,6 +69,15 @@ class TestFromKeySets:
         with pytest.raises(ValueError, match="at least one fragment"):
             Origins.from_key_sets([])
 
+    @given(sets=key_sets(max_frags=70))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_mask_popcounts(self, sets):
+        # A pre-aggregated state's row counts come from its masks alone.
+        o = Origins.from_key_sets(sets)
+        cells = popcount_cells(o.part, o.masks, *o.rows.shape)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, o.rows)
+
     @given(sets=key_sets(max_frags=70), n_slots=st.sampled_from([1, 16, 100]))
     @settings(max_examples=60, deadline=None)
     def test_derivation_matches_reference_signature(self, sets, n_slots):
@@ -94,7 +105,7 @@ def check_walk(sets, dest, topo):
         plans.append(loom_plan(cards, float(origins.part.size), int(dest[0]), topo, w=W))
     py_sets = [[set(keys.tolist()) for keys in parts] for parts in sets]
     for plan in plans:
-        shipped, leftovers = _count_shipped(origins, dest, plan)
+        shipped, leftovers = _count_shipped(origins.rows, lambda: origins, dest, plan)
         assert leftovers == 0
         got = plan_cost(plan, shipped, dest, topo, W, None)
         sim = simulate_plan(py_sets, plan, dest, topo, w=W)
@@ -127,3 +138,40 @@ class TestWalkEqualsSimulation:
         for v in (63, 64):
             sets[v] = [np.concatenate([keys, universe[:20]]) for keys in sets[v]]
         check_walk(sets, np.array(dest), Topology(14, 5, 118.0, 1180.0))
+
+
+def _keys_unavailable():
+    raise AssertionError("the walk read the per-key arrays")
+
+
+class TestWalkWithoutKeys:
+    """A complete single phase ships ``rows[v, l]``: the walk never reads
+    the per-key arrays for it, and an incomplete plan still counts its
+    leftovers from them."""
+
+    @given(sets=key_sets(max_frags=70), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_repartition_plan_reads_rows_alone(self, sets, data):
+        n, m = len(sets), len(sets[0])
+        dest = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        o = Origins.from_key_sets(sets)
+        plan = repartition_plan(n, dest)
+        got = _count_shipped(o.rows, _keys_unavailable, dest, plan)
+        assert got == _count_shipped(o.rows, lambda: o, dest, plan)
+        assert got[1] == 0
+
+    @pytest.mark.parametrize("mode", ["all_to_one", "all_to_all"])
+    def test_incomplete_plan_reads_keys(self, mode):
+        # The plans of test_executor_spark's test_incomplete_plan_raises.
+        rng = np.random.default_rng(4)
+        m = 1 if mode == "all_to_one" else 4
+        sets = [[rng.integers(0, 40, 10) for _ in range(m)] for _ in range(4)]
+        o = Origins.from_key_sets(sets)
+        if mode == "all_to_one":
+            dest, bad = np.array([0]), Plan(phases=[Phase([Transfer(1, 0, 0)])])
+        else:
+            dest = np.arange(4)
+            bad = repartition_plan(4, np.array([0, 2, 2, 3]))
+        with pytest.raises(AssertionError, match="per-key"):
+            _count_shipped(o.rows, _keys_unavailable, dest, bad)
+        assert _count_shipped(o.rows, lambda: o, dest, bad)[1] > 0

@@ -2,15 +2,22 @@
 match two references exactly: the same derivation over the numpy
 ``Origins.from_key_sets`` (for int64 keys the numpy port of ``xxhash64``
 spreads keys as Spark does) and a per-(frag, part) SQL aggregate of
-``n`` ``min()`` expressions; and that the count job's ``Origins`` equal
-``Origins.from_key_sets``."""
+``n`` ``min()`` expressions; that the count job's ``Origins`` equal
+``Origins.from_key_sets``; and that a pre-aggregated state's ``Origins``,
+counted from the rows it merges, equal ``count_origins`` over its merge."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.engine.aggspec import sum_spec
-from repro.engine.state import Origins, make_state, preaggregate, scatter_cells
+from repro.engine.state import (
+    Origins,
+    count_origins,
+    make_state,
+    preaggregate,
+    scatter_cells,
+)
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily, spread_keys
 from repro.minhash.signatures import compute_signatures, derive_signatures
@@ -234,3 +241,40 @@ class TestEqualsSqlAggregate:
         )
         got = compute_signatures(st.df, self.FAM, n_frags=4, n_parts=2)
         assert_bit_equal(got, sql_signatures(st.df, self.FAM, n_frags=4, n_parts=2))
+
+
+class TestPreaggregatedOriginsEqualCountOverMerge:
+    """``DistState.origins`` of a pre-aggregated state, one ``groupBy(part,
+    key)`` over the rows it merges with ``rows`` from the masks' popcounts,
+    equals ``count_origins`` over the merge itself. Fragment 2 holds
+    nothing, and the partitioner never yields partition 3."""
+
+    @pytest.mark.parametrize(
+        "n, ddl, keys",
+        [
+            (5, "long", [1, -(2**40), 7, 2**62, 3]),
+            (5, "double", [-0.0, 0.0, float("nan"), 0.5, float("-inf"), 1e300]),
+            (5, "string", ["a", "", "\u00fcn\u00efc\u00f8de", "a longer string key", "b"]),
+            (5, "long", [None, 1, -(2**40), 7]),
+            (5, "struct<a: int, b: string>", [(1, "x"), (1, None), None, (2, "x"), (-3, "")]),
+            (70, "long", list(range(-40, 40))),
+        ],
+        ids=["long", "double", "string", "null", "struct", "n70"],
+    )
+    def test_equal(self, spark, n, ddl, keys):
+        rng = np.random.default_rng(14)
+        frags = [v for v in range(n) if v != 2]
+        rows = [(int(rng.choice(frags)), keys[int(i)], 1.0)
+                for i in rng.integers(0, len(keys), 40 * len(keys))]
+        # -0.0, 0.0 and NaN all in fragment 0, NaN twice; fragments 63
+        # and 64 straddle the mask words at N = 70.
+        rows += [(0, k, 1.0) for k in keys[:3] + keys[2:3]]
+        rows += [(v, keys[0], 1.0) for v in (63, 64, 69) if v < n]
+        df = spark.createDataFrame(rows, f"frag int, k {ddl}, v double")
+        st = preaggregate(make_state(
+            df, sum_spec("k", "v"), n_frags=n, mode="all_to_all", n_parts=4,
+            partitioner=F.pmod(F.xxhash64("k"), F.lit(3)),
+        ))
+        ref = count_origins(st.df, n, 4)
+        assert ref.rows[2].sum() == 0 and ref.rows[:, 3].sum() == 0
+        assert_same_origins(st.origins, ref)

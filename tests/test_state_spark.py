@@ -1,4 +1,5 @@
 """Tests for DistState construction, pre-aggregation and finalize."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,36 @@ class TestFragmentClustering:
         assert "HashAggregate" in above_cache
         assert "Exchange" not in above_cache
 
+    def test_counts_run_no_merge_and_no_expand(self, states, monkeypatch):
+        # The pre-aggregated state's count is one groupBy over the rows it
+        # merges: one Exchange beyond the input's own round-robin one, on
+        # (part, key) and not the merge's on frag, and no Expand. A raw
+        # state's row count aggregates (frag, part) alone.
+        clustered, _ = states
+        counted = []
+        to_pandas = type(clustered.df).toPandas
+
+        def record(df):
+            counted.append(df)
+            return to_pandas(df)
+
+        def final_plan():
+            executed = counted.pop()._jdf.queryExecution().executedPlan().toString()
+            return executed.split("== Initial Plan ==")[0]
+
+        monkeypatch.setattr(type(clustered.df), "toPandas", record)
+        replace(clustered).origins
+        plan = final_plan()
+        assert plan.count("Exchange") == 2 and "Expand" not in plan
+        assert "Exchange RoundRobinPartitioning(7)" in plan
+        assert re.findall(r"Exchange hashpartitioning\((\w+)#\d+, (\w+)#", plan) == [("part", "key")]
+        assert not counted
+        replace(clustered, df=clustered.merged_from, merged_from=None).rows
+        plan = final_plan()
+        assert "Expand" not in plan
+        groupings = re.findall(r"HashAggregate\(keys=\[([^\]]*)\]", plan)
+        assert groupings and not any("key" in g for g in groupings)
+
     def test_signatures_and_counts_equal_unclustered(self, states):
         clustered, flat = states
         fam = HashFamily(n=16, seed=5)
@@ -191,7 +222,7 @@ class TestFragmentClustering:
         b = np.full((self.N_FRAGS, self.N_FRAGS), 118.0)
         grasp = plan_aggregation(ref, b, flat.dest, w=16.0)
         for plan in (grasp, repartition_plan(self.N_FRAGS, flat.dest)):
-            counts = [_count_shipped(st.origins, st.dest, plan) for st in states]
+            counts = [_count_shipped(st.rows, lambda: st.keys, st.dest, plan) for st in states]
             assert counts[0] == counts[1]
 
 
