@@ -45,8 +45,9 @@ class Keys(NamedTuple):
 
 
 class Origins(NamedTuple):
-    """What :func:`count_origins` reads back: ``rows[v, l]``, fragment
-    ``v``'s rows of partition ``l``, then the fields of :class:`Keys`."""
+    """A state's two counts together: ``rows[v, l]``, fragment ``v``'s
+    rows of partition ``l`` (:func:`count_rows`), then the fields of
+    :class:`Keys` (:func:`count_keys`)."""
 
     rows: np.ndarray  # (N, L) int64
     part: np.ndarray  # (K,) int64
@@ -57,9 +58,10 @@ class Origins(NamedTuple):
     def from_key_sets(cls, key_sets: list[list[np.ndarray]]) -> "Origins":
         """The Spark-free :class:`Origins` of int64 key sets, ``key_sets[v][l]``
         holding partition ``l``'s keys on fragment ``v``: for the same
-        ``LongType`` keys, :func:`count_origins` of the pre-aggregated
-        state up to the order of its per-key rows. Raises ``ValueError``
-        for no fragments or partitions, or ragged ``key_sets``."""
+        ``LongType`` keys, the pre-aggregated state's
+        :attr:`DistState.origins` up to the order of its per-key rows.
+        Raises ``ValueError`` for no fragments or partitions, or ragged
+        ``key_sets``."""
         if not key_sets or not key_sets[0]:
             raise ValueError("key_sets needs at least one fragment and partition")
         n, m = len(key_sets), len(key_sets[0])
@@ -149,13 +151,17 @@ def make_state(
     skewed repartition functions (Section 5.2.3).
 
     Raises ``ValueError`` for fewer than one fragment or partition, for
-    an argument the mode would ignore (``n_parts`` or ``partitioner``
-    with ``all_to_one``, ``dest_frag`` with ``all_to_all``), and for a
-    key column that ``xxhash64`` cannot hash (a map, for one): the
-    count job and the default partitioner hash the key.
+    a ``tuple_bytes`` that is not finite and positive (it prices every
+    transfer), for an argument the mode would ignore (``n_parts`` or
+    ``partitioner`` with ``all_to_one``, ``dest_frag`` with
+    ``all_to_all``), and for a key column that ``xxhash64`` cannot hash
+    (a map, for one): the count job and the default partitioner hash
+    the key.
     """
     if n_frags < 1 or (n_parts is not None and n_parts < 1):
         raise ValueError(f"need n_frags >= 1 and n_parts >= 1, got {n_frags}, {n_parts}")
+    if not 0 < tuple_bytes < np.inf:
+        raise ValueError(f"tuple_bytes must be finite and > 0, got {tuple_bytes}")
     try:
         df.select(F.xxhash64(F.col(spec.key)))  # analysis only, no job
     except AnalysisException as e:
@@ -226,17 +232,6 @@ def popcount_cells(part: np.ndarray, masks: np.ndarray, n_frags: int, n_parts: i
     return cells.astype(np.int64).reshape(n_frags, n_parts)
 
 
-def _mask_words(n_frags: int) -> tuple[list[str], list[Column]]:
-    """The ⌈N/64⌉ mask word names and the ``bit_or`` aggregates that OR
-    each row's origin bit into them."""
-    words = [f"m{w}" for w in range(-(-n_frags // 64))]
-    return words, [
-        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
-               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
-        for w, m in enumerate(words)
-    ]
-
-
 def count_rows(df: DataFrame, n_frags: int, n_parts: int) -> np.ndarray:
     """``rows[v, l]``: ``df``'s rows per (frag, part), one
     ``groupBy(frag, part).count()``. Raises ``ValueError`` for a null or
@@ -254,7 +249,12 @@ def count_keys(df: DataFrame, n_frags: int, n_parts: int) -> Keys:
     aggregate flags per key, and for a null or out-of-range ``part``,
     checked on the driver.
     """
-    words, bits = _mask_words(n_frags)
+    words = [f"m{w}" for w in range(-(-n_frags // 64))]
+    bits = [
+        F.expr(f"bit_or(if(frag >= {64 * w} AND frag < {64 * w + 64}, "
+               f"shiftleft(1L, frag - {64 * w}), 0L)) AS {m}")
+        for w, m in enumerate(words)
+    ]
     bad = F.expr(f"bool_or(frag IS NULL OR frag < 0 OR frag >= {n_frags})")
     pdf = (
         df.groupBy("part", "key")
@@ -273,34 +273,6 @@ def count_keys(df: DataFrame, n_frags: int, n_parts: int) -> Keys:
         part=part.astype(np.int64),
         x=pdf["x"].to_numpy(np.int64),
         masks=pdf[words].to_numpy(np.int64).view(np.uint64),
-    )
-
-
-def count_origins(df: DataFrame, n_frags: int, n_parts: int) -> Origins:
-    """Count ``df``'s rows per (frag, part) and OR its origin bits per
-    (part, key), in one ``groupingSets`` aggregate that depends on no
-    plan, read back in one Arrow batch.
-
-    ``grouping_id`` tells the two kinds of row apart, so a null key stays
-    one group, as the merge ``groupBy`` keeps it; ``x`` is hashed from the
-    grouped key. Over un-merged rows ``rows`` counts raw rows. Raises
-    ``ValueError`` for a null or out-of-range ``frag``/``part``.
-    """
-    words, bits = _mask_words(n_frags)
-    pdf = (
-        df.groupingSets([["part", "key"], ["frag", "part"]], "frag", "part", "key")
-        .agg(F.grouping_id().alias("gid"), F.count("*").alias("rows"), *bits)
-        .withColumn("x", F.pmod(F.xxhash64("key"), F.lit(MERSENNE_P)))
-        .drop("key")
-        .toPandas()
-    )
-    per_key = pdf["gid"].to_numpy() == 0b100  # frag is aggregated over
-    own, keys = pdf[~per_key], pdf[per_key]
-    return Origins(
-        rows=scatter_cells(own, own["rows"].to_numpy(np.int64), 0, n_frags, n_parts),
-        part=keys["part"].to_numpy(np.int64),
-        x=keys["x"].to_numpy(np.int64),
-        masks=keys[words].to_numpy(np.int64).view(np.uint64),
     )
 
 

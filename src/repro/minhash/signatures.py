@@ -12,15 +12,16 @@ it), and ``Card`` is each cell's mask popcount. Only those rows, never
 the aggregated data, leave the executors. The numpy reference path
 derives the same arrays from ``Origins.from_key_sets``: this is the one
 derivation of ``Card`` and ``MinH``. :func:`compute_signatures` runs
-the older one-job count, :func:`~repro.engine.state.count_origins`,
-over any ``(frag, part, key)`` DataFrame.
+the state's two counts, :func:`~repro.engine.state.count_rows` and
+:func:`~repro.engine.state.count_keys`, over any ``(frag, part, key)``
+DataFrame.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.engine.state import Origins, count_origins, origin_bits
+from repro.engine.state import Origins, count_keys, count_rows, origin_bits
 from repro.minhash.estimate import CoordinatorState
 from repro.minhash.hashing import EMPTY_SLOT, MERSENNE_P, HashFamily
 
@@ -64,13 +65,15 @@ def compute_signatures(
     n_parts: int,
 ) -> CoordinatorState:
     """Collect ``Card`` and ``MinH`` for every (fragment, partition) of
-    ``df``: its one Spark count, then :func:`derive_signatures`.
+    ``df``: its row count and its per-key count, then
+    :func:`derive_signatures`.
 
-    ``df`` has columns ``frag``, ``part`` and ``key``; over the locally
-    pre-aggregated state ``Card`` is the distinct-key count. Keys of any
-    type ``xxhash64`` accepts are mixed with it and reduced mod
-    ``p = 2^31 - 1``; for ``LongType`` keys the result equals
+    ``df`` has columns ``frag``, ``part`` and ``key``; ``Card`` is its
+    row count, over the locally pre-aggregated state the distinct-key
+    count. Keys of any type ``xxhash64`` accepts are mixed with it and
+    reduced mod ``p = 2^31 - 1``; for ``LongType`` keys the result equals
     ``derive_signatures(Origins.from_key_sets(...))`` bit for bit. A
     null or out-of-range ``frag``/``part`` raises ``ValueError``.
     """
-    return derive_signatures(count_origins(df, n_frags, n_parts), family)
+    rows = count_rows(df, n_frags, n_parts)
+    return derive_signatures(Origins(rows, *count_keys(df, n_frags, n_parts)), family)

@@ -37,8 +37,8 @@ class Topology:
     def __post_init__(self) -> None:
         if self.n_machines < 1 or self.frags_per_machine < 1:
             raise ValueError("need at least one machine and one fragment")
-        if self.nic_bw <= 0 or self.intra_bw <= 0:
-            raise ValueError("bandwidths must be positive")
+        if not (0 < self.nic_bw < np.inf and 0 < self.intra_bw < np.inf):
+            raise ValueError("bandwidths must be finite and positive")
 
     @property
     def n_frags(self) -> int:

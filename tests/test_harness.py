@@ -111,9 +111,10 @@ class TestRunAlgorithm:
 
             return counted
 
-        for name in ("count_rows", "count_keys", "count_origins"):
-            monkeypatch.setattr(state, name, wrap(name))
-        monkeypatch.setattr(signatures, "count_origins", state.count_origins)
+        for name in ("count_rows", "count_keys"):
+            counted = wrap(name)
+            for module in (state, signatures):
+                monkeypatch.setattr(module, name, counted)
         run_algorithm(wl, algo, TOPO, mode="all_to_one", family=FAM)
         count = "count_rows" if algo == "repart" else "count_keys"
         assert calls == [(count, {"n_frags": wl.n_frags, "n_parts": 1})]

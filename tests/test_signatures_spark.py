@@ -4,7 +4,8 @@ match two references exactly: the same derivation over the numpy
 spreads keys as Spark does) and a per-(frag, part) SQL aggregate of
 ``n`` ``min()`` expressions; that the count job's ``Origins`` equal
 ``Origins.from_key_sets``; and that a pre-aggregated state's ``Origins``,
-counted from the rows it merges, equal ``count_origins`` over its merge."""
+counted from the rows it merges, equal the two counts, ``count_rows``
+and ``count_keys``, run over its merge."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -13,7 +14,8 @@ from pyspark.sql import functions as F
 from repro.engine.aggspec import sum_spec
 from repro.engine.state import (
     Origins,
-    count_origins,
+    count_keys,
+    count_rows,
     make_state,
     preaggregate,
     scatter_cells,
@@ -246,8 +248,9 @@ class TestEqualsSqlAggregate:
 class TestPreaggregatedOriginsEqualCountOverMerge:
     """``DistState.origins`` of a pre-aggregated state, one ``groupBy(part,
     key)`` over the rows it merges with ``rows`` from the masks' popcounts,
-    equals ``count_origins`` over the merge itself. Fragment 2 holds
-    nothing, and the partitioner never yields partition 3."""
+    equals ``count_rows`` and ``count_keys`` over the merge itself.
+    Fragment 2 holds nothing, and the partitioner never yields
+    partition 3."""
 
     @pytest.mark.parametrize(
         "n, ddl, keys",
@@ -275,6 +278,6 @@ class TestPreaggregatedOriginsEqualCountOverMerge:
             df, sum_spec("k", "v"), n_frags=n, mode="all_to_all", n_parts=4,
             partitioner=F.pmod(F.xxhash64("k"), F.lit(3)),
         ))
-        ref = count_origins(st.df, n, 4)
+        ref = Origins(count_rows(st.df, n, 4), *count_keys(st.df, n, 4))
         assert ref.rows[2].sum() == 0 and ref.rows[:, 3].sum() == 0
         assert_same_origins(st.origins, ref)

@@ -11,7 +11,7 @@ from repro.baselines.repartition import repartition_plan
 from repro.core.grasp import plan_aggregation
 from repro.engine.aggspec import sum_spec
 from repro.engine.executor import _count_shipped
-from repro.engine.state import finalize, make_state, preaggregate
+from repro.engine.state import count_rows, finalize, make_state, preaggregate
 from repro.minhash.hashing import HashFamily
 from repro.minhash.signatures import compute_signatures
 
@@ -85,11 +85,22 @@ class TestMakeState:
             make_state(df, SPEC, n_frags=3, mode="all_to_all", dest_frag=dest_frag)
 
     @pytest.mark.parametrize(
-        "n_frags, n_parts", [(3, 0), (3, -2), (0, None)], ids=["parts0", "parts-2", "frags0"]
+        "n_frags, n_parts, w, match",
+        [
+            (3, 0, 16.0, "n_frags >= 1 and n_parts >= 1"),
+            (3, -2, 16.0, "n_frags >= 1 and n_parts >= 1"),
+            (0, None, 16.0, "n_frags >= 1 and n_parts >= 1"),
+            # A tuple width that prices every plan at 0 s, or at NaN.
+            *[(3, None, w, "tuple_bytes must be finite and > 0")
+              for w in (0.0, float("nan"), -16.0, float("inf"))],
+        ],
+        ids=["parts0", "parts-2", "frags0", "w0", "w_nan", "w-16", "w_inf"],
     )
-    def test_impossible_sizes_rejected(self, df, n_frags, n_parts):
-        with pytest.raises(ValueError, match="n_frags >= 1 and n_parts >= 1"):
-            make_state(df, SPEC, n_frags=n_frags, mode="all_to_all", n_parts=n_parts)
+    def test_impossible_sizes_rejected(self, df, n_frags, n_parts, w, match):
+        with pytest.raises(ValueError, match=match):
+            make_state(
+                df, SPEC, n_frags=n_frags, mode="all_to_all", n_parts=n_parts, tuple_bytes=w
+            )
 
 
 class TestKeyTypes:
@@ -144,9 +155,9 @@ class TestPreaggregate:
 
 class TestFragmentClustering:
     """``preaggregate`` leaves the state hash-partitioned by ``frag``, one
-    Spark partition per task slot: the signature aggregate over the
-    persisted state runs with no exchange, and Card/MinH and the
-    executor's counts equal those of the unclustered merge."""
+    Spark partition per task slot: the row count over the persisted state
+    runs with no exchange, and Card/MinH and the executor's counts equal
+    those of the unclustered merge."""
 
     N_FRAGS = 5  # fragment 3 is empty
 
@@ -172,44 +183,57 @@ class TestFragmentClustering:
         slots = spark.sparkContext.defaultParallelism
         assert states[0].df.rdd.getNumPartitions() == min(self.N_FRAGS, slots)
 
-    def test_signature_aggregate_has_no_exchange(self, states):
-        q = states[0].df.groupBy("frag", "part").agg(F.min("key"), F.count("*"))
-        q.collect()
-        executed = q._jdf.queryExecution().executedPlan().toString()
-        above_cache = executed.split("InMemoryRelation")[0]
-        assert "InMemoryTableScan" in above_cache
-        assert "HashAggregate" in above_cache
-        assert "Exchange" not in above_cache
-
-    def test_counts_run_no_merge_and_no_expand(self, states, monkeypatch):
-        # The pre-aggregated state's count is one groupBy over the rows it
-        # merges: one Exchange beyond the input's own round-robin one, on
-        # (part, key) and not the merge's on frag, and no Expand. A raw
-        # state's row count aggregates (frag, part) alone.
-        clustered, _ = states
+    @pytest.fixture
+    def final_plans(self, states, monkeypatch):
+        """Runs a callable and returns the final executed plan of every
+        DataFrame it reads back with ``toPandas``, in order."""
         counted = []
-        to_pandas = type(clustered.df).toPandas
+        frame = type(states[0].df)
+        to_pandas = frame.toPandas
 
         def record(df):
             counted.append(df)
             return to_pandas(df)
 
-        def final_plan():
-            executed = counted.pop()._jdf.queryExecution().executedPlan().toString()
-            return executed.split("== Initial Plan ==")[0]
+        def run(count):
+            counted.clear()
+            count()
+            return [d._jdf.queryExecution().executedPlan().toString()
+                    .split("== Initial Plan ==")[0] for d in counted]
 
-        monkeypatch.setattr(type(clustered.df), "toPandas", record)
-        replace(clustered).origins
-        plan = final_plan()
+        monkeypatch.setattr(frame, "toPandas", record)
+        return run
+
+    def test_signature_aggregate_has_no_exchange(self, states, final_plans):
+        # compute_signatures' row count over the persisted state.
+        clustered = states[0]
+        [plan] = final_plans(lambda: count_rows(clustered.df, self.N_FRAGS, 3))
+        above_cache = plan.split("InMemoryRelation")[0]
+        assert "InMemoryTableScan" in above_cache
+        assert "HashAggregate" in above_cache
+        assert "Exchange" not in above_cache
+
+    def test_counts_run_no_merge_and_no_expand(self, states, final_plans):
+        # The pre-aggregated state's count is one groupBy over the rows it
+        # merges: one Exchange beyond the input's own round-robin one, on
+        # (part, key) and not the merge's on frag, and no Expand. A raw
+        # state's row count aggregates (frag, part) alone, and
+        # compute_signatures' two counts over the merge run no Expand.
+        clustered, _ = states
+        [plan] = final_plans(lambda: replace(clustered).origins)
         assert plan.count("Exchange") == 2 and "Expand" not in plan
         assert "Exchange RoundRobinPartitioning(7)" in plan
         assert re.findall(r"Exchange hashpartitioning\((\w+)#\d+, (\w+)#", plan) == [("part", "key")]
-        assert not counted
-        replace(clustered, df=clustered.merged_from, merged_from=None).rows
-        plan = final_plan()
+        raw = replace(clustered, df=clustered.merged_from, merged_from=None)
+        [plan] = final_plans(lambda: raw.rows)
         assert "Expand" not in plan
         groupings = re.findall(r"HashAggregate\(keys=\[([^\]]*)\]", plan)
         assert groupings and not any("key" in g for g in groupings)
+        fam = HashFamily(n=16, seed=5)
+        plans = final_plans(
+            lambda: compute_signatures(clustered.df, fam, n_frags=self.N_FRAGS, n_parts=3)
+        )
+        assert len(plans) == 2 and not any("Expand" in p for p in plans)
 
     def test_signatures_and_counts_equal_unclustered(self, states):
         clustered, flat = states

@@ -18,6 +18,10 @@ class TestConstruction:
         {"n_machines": 2, "frags_per_machine": 0},
         {"n_machines": 2, "nic_bw": 0},
         {"n_machines": 2, "intra_bw": -1},
+        {"n_machines": 2, "nic_bw": float("nan")},
+        {"n_machines": 2, "nic_bw": float("inf")},
+        {"n_machines": 2, "intra_bw": float("nan")},
+        {"n_machines": 2, "intra_bw": float("inf")},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
